@@ -200,11 +200,11 @@ def pixel_setter_circuit(layout: RegisterLayout, addr: PixelAddress, dphi: float
 def preparation_circuit(img: QhslImage) -> Circuit:
     """Full state preparation: position superposition, then per-pixel setters."""
     layout = img.layout
-    circuit = position_superposition_circuit(layout)
+    instrs = list(position_superposition_circuit(layout).instructions)
     for y, x, chroma, code in img.enumerate_pixels():
-        circuit = circuit + pixel_setter_circuit(layout, PixelAddress(y, x),
-                                                 chroma.phi, chroma.theta, code.bits)
-    return circuit
+        instrs += pixel_setter_circuit(layout, PixelAddress(y, x),
+                                       chroma.phi, chroma.theta, code.bits).instructions
+    return Circuit(layout.total_qubits, tuple(instrs))
 
 
 def simulate_preparation(img: QhslImage, qubit_budget: int = DENSE_QUBIT_BUDGET) -> StateVector:

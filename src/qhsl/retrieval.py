@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -145,25 +146,29 @@ def measure_lightness(source, y: int, x: int, layout: RegisterLayout | None = No
         return source.code(y, x).bits
     if layout is None:
         raise ValueError("dense lightness readout needs a register layout")
-    distribution, total = _dense_lightness_distribution(source, layout, y, x)
-    top = int(np.argmax(distribution))
-    if distribution[top] < (1.0 - 1e-9) * total:
-        raise NonBasisLightnessError(
-            f"pixel ({y}, {x}) lightness register is in superposition")
-    return top
+    return int(_dense_lightness_codes(source, layout, [(y << layout.n) | x])[0])
 
 
-def _dense_lightness_distribution(state: StateVector, layout: RegisterLayout,
-                                  y: int, x: int) -> tuple[np.ndarray, float]:
+def _dense_lightness_codes(state: StateVector, layout: RegisterLayout,
+                           positions: Sequence[int]) -> np.ndarray:
+    """Lightness codes of the pixel branches at raster ``positions``.
+
+    One joint distribution over the position and lightness qubits serves
+    every branch.  The first offending branch, in the order given, raises.
+    """
     qubits = list(layout.position_qubits) + list(layout.lightness_qubits)
-    probs = joint_probabilities(state, qubits)
-    pos = (y << layout.n) | x
-    npos = 4 ** layout.n
-    branch = probs[pos::npos]
-    total = float(branch.sum())
-    if total <= _BRANCH_EPS:
-        raise InconsistentStatisticsError(f"pixel ({y}, {x}) branch has no probability")
-    return branch, total
+    probs = joint_probabilities(state, qubits).reshape(2 ** layout.q, 4 ** layout.n)[:, positions]
+    totals = probs.sum(axis=0)
+    codes = probs.argmax(axis=0)
+    peaks = probs[codes, np.arange(codes.size)]
+    bad = np.flatnonzero((totals <= _BRANCH_EPS) | (peaks < (1.0 - 1e-9) * totals))
+    if bad.size:
+        i = bad[0]
+        y, x = divmod(positions[i], layout.side)
+        if totals[i] <= _BRANCH_EPS:
+            raise InconsistentStatisticsError(f"pixel ({y}, {x}) branch has no probability")
+        raise NonBasisLightnessError(f"pixel ({y}, {x}) lightness register is in superposition")
+    return codes
 
 
 @dataclass(frozen=True)
@@ -327,8 +332,7 @@ def retrieve_image(source, mode: str = "exact", *, shots: int | None = None,
             raise ValueError("the oracle branch fast path needs the structured backend")
         mapping = AVERAGE if mapping is None else mapping
         stats = _dense_statistics(source, layout, mode, shots, seed)
-        codes = [measure_lightness(source, pos >> layout.n, pos & (layout.side - 1), layout)
-                 for pos in range(4 ** layout.n)]
+        codes = _dense_lightness_codes(source, layout, range(4 ** layout.n)).tolist()
     else:
         raise TypeError(f"cannot retrieve from {type(source).__name__}")
 

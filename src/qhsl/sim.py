@@ -214,7 +214,7 @@ class Circuit:
             raise ValueError("num_qubits must be non-negative")
         instrs = tuple(self.instructions)
         for ins in instrs:
-            top = max((ins.target, *ins.controls.qubits)) if ins.controls.qubits else ins.target
+            top = max((ins.target, *ins.controls.qubits))
             if top >= self.num_qubits:
                 raise ValueError(f"instruction touches qubit {top} outside register of {self.num_qubits}")
         object.__setattr__(self, "instructions", instrs)
@@ -295,32 +295,40 @@ def _check_instruction(num_qubits: int, instr: Instruction) -> None:
 
 def _apply_inplace(arr: np.ndarray, num_qubits: int, instr: Instruction) -> None:
     # arr has shape [2]*num_qubits with qubit k on axis (num_qubits-1-k)
-    target_axis = num_qubits - 1 - instr.target
     index: list = [slice(None)] * num_qubits
-    control_axes = []
     for q, b in instr.controls.terms:
-        ax = num_qubits - 1 - q
-        index[ax] = b
-        control_axes.append(ax)
-    sub = arr[tuple(index)]
-    reduced_axis = target_axis - sum(1 for ax in control_axes if ax < target_axis)
-    moved = np.moveaxis(sub, reduced_axis, 0)
+        index[num_qubits - 1 - q] = b
+    target_axis = num_qubits - 1 - instr.target
+    # the trailing Ellipsis keeps a 0-d view (not a scalar copy) when the
+    # controls and target pin every axis
+    index[target_axis] = 0
+    half0 = arr[(*index, Ellipsis)]
+    index[target_axis] = 1
+    half1 = arr[(*index, Ellipsis)]
     gate = instr.gate
     if gate.kind in ("SET0", "SET1"):
-        overlap = np.minimum(np.abs(moved[0]), np.abs(moved[1]))
+        overlap = np.minimum(np.abs(half0), np.abs(half1))
         worst = float(overlap.max()) if overlap.size else 0.0
         if worst > SET_TOLERANCE:
             raise NonBasisTargetError(
                 f"{gate.kind} on qubit {instr.target}: target is in superposition "
                 f"(amplitude overlap {worst:.3e} exceeds {SET_TOLERANCE:.0e})")
-        merged = moved[0] + moved[1]
-        keep = 1 if gate.kind == "SET1" else 0
-        moved[keep] = merged
-        moved[1 - keep] = 0.0
+        keep, drop = (half1, half0) if gate.kind == "SET1" else (half0, half1)
+        keep += drop
+        drop[...] = 0.0
         flat = arr.reshape(-1)
         flat /= np.linalg.norm(flat)
+    elif gate.kind == "X":
+        old0 = half0.copy()
+        half0[...] = half1
+        half1[...] = old0
     else:
-        moved[...] = np.tensordot(gate.matrix(), moved, axes=(1, 0))
+        (m00, m01), (m10, m11) = gate.matrix()
+        old0 = half0.copy()
+        half0 *= m00
+        half0 += m01 * half1
+        half1 *= m11
+        half1 += m10 * old0
 
 
 def apply_gate(state: StateVector, gate: Gate, target: int,
@@ -576,8 +584,9 @@ def saturating_add_circuit(width: int, value: int, target: Sequence[int],
     loader = load_constant(value, addend, num_qubits)
     adder = ripple_adder(width, addend, target, carry, work, num_qubits)
     clamp = [Instruction(Gate.set1(), t, ControlPattern(((carry, 1),))) for t in target]
-    clear = [Instruction(Gate.set0(), carry)]
-    return loader + adder + Circuit(num_qubits, tuple(clamp + clear)) + loader
+    clear = Instruction(Gate.set0(), carry)
+    return Circuit(num_qubits, (*loader.instructions, *adder.instructions, *clamp, clear,
+                                *loader.instructions))
 
 
 def saturating_sub_circuit(width: int, value: int, target: Sequence[int],
@@ -593,6 +602,6 @@ def saturating_sub_circuit(width: int, value: int, target: Sequence[int],
     target = list(target)
     if num_qubits is None:
         num_qubits = _register_size(target, addend, [carry], work)
-    invert = Circuit(num_qubits, tuple(Instruction(Gate.x(), t) for t in target))
+    invert = tuple(Instruction(Gate.x(), t) for t in target)
     inner = saturating_add_circuit(width, value, target, addend, carry, work, num_qubits)
-    return invert + inner + invert
+    return Circuit(num_qubits, invert + inner.instructions + invert)

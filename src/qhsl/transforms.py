@@ -336,13 +336,11 @@ def comparator_region_circuit(layout: RegisterLayout, region: RegionConstraint,
         raise AncillaBudgetError(
             f"region gating needs {free} qubits, budget is {qubit_budget}")
 
-    circuit = Circuit(free)
-    for compute in computes:
-        circuit = circuit + compute.shifted(0, free)
-    circuit = circuit + body.shifted(0, free).controlled(ControlPattern(tuple(controls)))
+    instrs = [ins for compute in computes for ins in compute.instructions]
+    instrs += body.shifted(0, free).controlled(ControlPattern(tuple(controls))).instructions
     for compute in reversed(computes):
-        circuit = circuit + compute.shifted(0, free).inverse()
-    return circuit
+        instrs += compute.inverse().instructions
+    return Circuit(free, tuple(instrs))
 
 
 @dataclass(frozen=True)
@@ -493,7 +491,4 @@ def pseudocolor_circuit(img: QhslImage, pmap: PseudocolorMap,
     steps.append(Circuit(layout.total_qubits, sets))
 
     total = max(step.num_qubits for step in steps)
-    circuit = Circuit(total)
-    for step in steps:
-        circuit = circuit + step.shifted(0, total)
-    return circuit
+    return Circuit(total, tuple(ins for step in steps for ins in step.instructions))

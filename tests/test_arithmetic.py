@@ -216,3 +216,34 @@ def test_saturating_add_refuses_merging_branches():
     amps[1] = amps[3] = 1.0 / np.sqrt(2)  # 1+2=3 and 3+2 clamped to 3 collide
     with pytest.raises(NonBasisTargetError):
         run_circuit(StateVector(circ.num_qubits, amps), circ)
+
+
+def saturating_add_by_joins(width, value, target, addend, carry, work, num_qubits):
+    """The original assembly: a chain of Circuit joins."""
+    from qhsl import Circuit, ControlPattern, Gate, Instruction, load_constant
+
+    loader = load_constant(value, addend, num_qubits)
+    adder = ripple_adder(width, addend, target, carry, work, num_qubits)
+    clamp = [Instruction(Gate.set1(), t, ControlPattern(((carry, 1),))) for t in target]
+    clear = [Instruction(Gate.set0(), carry)]
+    return loader + adder + Circuit(num_qubits, tuple(clamp + clear)) + loader
+
+
+def saturating_sub_by_joins(width, value, target, addend, carry, work, num_qubits):
+    from qhsl import Circuit, Gate, Instruction
+
+    invert = Circuit(num_qubits, tuple(Instruction(Gate.x(), t) for t in target))
+    inner = saturating_add_by_joins(width, value, target, addend, carry, work, num_qubits)
+    return invert + inner + invert
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_saturating_circuits_match_joined_assembly(width):
+    registers = saturating_layout(width)
+    for k in range(2 ** width):
+        for built, joined in ((saturating_add_circuit, saturating_add_by_joins),
+                              (saturating_sub_circuit, saturating_sub_by_joins)):
+            # default register size, then one widened by two spare qubits
+            assert built(width, k, *registers) == joined(width, k, *registers, 3 * width + 1)
+            assert built(width, k, *registers, 3 * width + 3) == \
+                joined(width, k, *registers, 3 * width + 3)

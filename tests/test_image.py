@@ -179,3 +179,16 @@ def test_n_zero_needs_no_hadamards():
     assert all(i.gate.kind != "H" for i in circ.instructions)
     state = simulate_preparation(img)
     assert state.amplitudes[0] == pytest.approx(math.cos(math.pi / 6), abs=1e-12)
+
+
+def test_preparation_circuit_matches_joined_assembly(rng):
+    # the original construction joined one setter circuit at a time
+    from qhsl.image import pixel_setter_circuit, position_superposition_circuit
+
+    for n, q in ((0, 0), (1, 2), (2, 3)):
+        img = random_image(rng, n, q)
+        joined = position_superposition_circuit(img.layout)
+        for y, x, chroma, code in img.enumerate_pixels():
+            joined = joined + pixel_setter_circuit(img.layout, PixelAddress(y, x),
+                                                   chroma.phi, chroma.theta, code.bits)
+        assert preparation_circuit(img) == joined

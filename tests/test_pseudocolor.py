@@ -217,3 +217,46 @@ def test_circuit_and_pixel_hues_after_retrieval():
         assert pix.hue == pytest.approx(want, abs=1e-6)
         assert pix.saturation == 1.0
         assert pix.code == 1
+
+
+def pseudocolor_by_joins(img, pmap, selector):
+    """The original pseudocolor_circuit, assembled by Circuit joins."""
+    from qhsl import (SATURATION_HIGH, Circuit, Gate, Instruction, RegionConstraint,
+                      comparator_region_circuit, interval_control_patterns, leq_control_patterns)
+
+    layout, cq, offset = img.layout, img.layout.chroma_qubit, 2 * img.n
+    deltas = interval_rotation_angles(pmap)
+    suffixes = [math.fsum(deltas[j:]) for j in range(len(deltas))]
+    dsat = SATURATION_HIGH - img.chroma(0, 0).theta
+    mid = quantize_lightness(0.5, img.q, img.mapping, img.table)
+
+    def selected(instrs, region, patterns):
+        if selector == "patterns":
+            return Circuit(layout.total_qubits, tuple(
+                Instruction(g.gate, g.target, p.shifted(offset)) for p in patterns for g in instrs))
+        return comparator_region_circuit(layout, region, Circuit(layout.total_qubits, instrs))
+
+    steps = [selected((Instruction(Gate.rz(deltas[i]), cq),), RegionConstraint.lightness_leq(hi),
+                      leq_control_patterns(hi, img.q))
+             for i, (_, hi, _) in enumerate(pmap.entries)]
+    steps += [selected((Instruction(Gate.rz(-suffixes[j]), cq), Instruction(Gate.ry(dsat), cq),
+                        Instruction(Gate.rz(suffixes[j]), cq)),
+                       RegionConstraint.lightness_between(lo, hi), interval_control_patterns(lo, hi, img.q))
+              for j, (lo, hi, _) in enumerate(pmap.entries)]
+    steps.append(Circuit(layout.total_qubits, tuple(
+        Instruction(Gate.set1() if (mid.bits >> j) & 1 else Gate.set0(), qb)
+        for j, qb in enumerate(layout.lightness_qubits))))
+    total = max(step.num_qubits for step in steps)
+    circuit = Circuit(total)
+    for step in steps:
+        circuit = circuit + step.shifted(0, total)
+    return circuit
+
+
+@pytest.mark.parametrize("selector", ["patterns", "comparators"])
+def test_circuit_matches_joined_assembly(selector):
+    img = gray_ramp_image(1, 4)
+    for pmap in (PseudocolorMap(((0, 15, 90.0),)),
+                 PseudocolorMap(((0, 3, 0.0), (4, 8, 60.0), (9, 12, 240.0), (13, 15, 120.0)))):
+        assert pseudocolor_circuit(img, pmap, selector=selector) == \
+            pseudocolor_by_joins(img, pmap, selector)

@@ -11,6 +11,7 @@ from qhsl import (
     InconsistentStatisticsError,
     LightnessCode,
     NonBasisLightnessError,
+    PixelAddress,
     QhslImage,
     apply_gate,
     encode_chroma,
@@ -22,6 +23,7 @@ from qhsl import (
     retrieve_image,
     simulate_preparation,
     StateVector,
+    structured_state,
 )
 from qhsl.retrieval import EXACT_HUE_FLOOR
 from conftest import random_chroma, random_image, random_color_image
@@ -295,3 +297,48 @@ def test_retrieve_usage_errors(rng):
         retrieve_image(state, "shots", shots=10, branch="oracle", layout=img.layout)
     with pytest.raises(TypeError):
         retrieve_image("not a state")
+
+
+# ---------------------------------------------------------------------------
+# Dense lightness readout, all pixels from one distribution
+
+
+def superpose_lightness(state, layout, *pixels):
+    """Put one lightness qubit of each listed pixel branch into superposition."""
+    for y, x in pixels:
+        state = apply_gate(state, Gate.h(), layout.lightness_qubits[0],
+                           layout.pixel_pattern(PixelAddress(y, x)))
+    return state
+
+
+def test_dense_readout_names_the_superposed_pixel(rng):
+    img = random_image(rng, 1, 2)
+    state = superpose_lightness(simulate_preparation(img), img.layout, (1, 0))
+    with pytest.raises(NonBasisLightnessError, match=r"pixel \(1, 0\)"):
+        retrieve_image(state, layout=img.layout)
+    with pytest.raises(NonBasisLightnessError, match=r"pixel \(1, 0\)"):
+        measure_lightness(state, 1, 0, img.layout)
+    # the other branches still read out on their own
+    for y, x in ((0, 0), (0, 1), (1, 1)):
+        assert measure_lightness(state, y, x, img.layout) == img.code(y, x).bits
+
+
+def test_dense_readout_raises_for_first_pixel_in_raster_order(rng):
+    img = random_image(rng, 1, 2)
+    state = superpose_lightness(simulate_preparation(img), img.layout, (1, 1), (0, 1))
+    for mode in ("exact", "shots"):
+        with pytest.raises(NonBasisLightnessError, match=r"pixel \(0, 1\)"):
+            retrieve_image(state, mode, shots=64, seed=1, layout=img.layout)
+
+
+def test_dense_readout_rejects_empty_branch(rng):
+    img = random_image(rng, 1, 2)
+    amps = structured_state(img).to_statevector().amplitudes.copy()
+    amps[(np.arange(amps.size) & 3) == 2] = 0.0  # branch of pixel (1, 0)
+    state = StateVector(img.layout.total_qubits, amps / np.linalg.norm(amps))
+    for mode in ("exact", "shots"):
+        with pytest.raises(InconsistentStatisticsError):
+            retrieve_image(state, mode, shots=64, seed=1, layout=img.layout)
+    with pytest.raises(InconsistentStatisticsError, match=r"pixel \(1, 0\) branch has no probability"):
+        measure_lightness(state, 1, 0, img.layout)
+    assert measure_lightness(state, 1, 1, img.layout) == img.code(1, 1).bits

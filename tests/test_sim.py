@@ -322,3 +322,121 @@ def test_register_overlap_rejected():
 
     with pytest.raises(RegisterOverlapError):
         ripple_adder(2, [0, 1], [1, 2], 3, [4, 5])
+
+
+# ---------------------------------------------------------------------------
+# Gate kernel against the tensordot reference
+
+
+def tensordot_apply(arr, num_qubits, instr):
+    """The original kernel: move the target axis first, contract with the matrix."""
+    target_axis = num_qubits - 1 - instr.target
+    index = [slice(None)] * num_qubits
+    control_axes = []
+    for q, b in instr.controls.terms:
+        ax = num_qubits - 1 - q
+        index[ax] = b
+        control_axes.append(ax)
+    sub = arr[tuple(index)]
+    reduced_axis = target_axis - sum(1 for ax in control_axes if ax < target_axis)
+    moved = np.moveaxis(sub, reduced_axis, 0)
+    gate = instr.gate
+    if gate.kind in ("SET0", "SET1"):
+        overlap = np.minimum(np.abs(moved[0]), np.abs(moved[1]))
+        worst = float(overlap.max()) if overlap.size else 0.0
+        if worst > 1e-9:
+            raise NonBasisTargetError(f"{gate.kind} on qubit {instr.target}: target is in superposition")
+        merged = moved[0] + moved[1]
+        keep = 1 if gate.kind == "SET1" else 0
+        moved[keep] = merged
+        moved[1 - keep] = 0.0
+        flat = arr.reshape(-1)
+        flat /= np.linalg.norm(flat)
+    else:
+        moved[...] = np.tensordot(gate.matrix(), moved, axes=(1, 0))
+
+
+def reference_run(amps, num_qubits, instrs):
+    arr = amps.copy().reshape([2] * num_qubits)
+    for instr in instrs:
+        tensordot_apply(arr, num_qubits, instr)
+    return arr.reshape(-1)
+
+
+ALL_GATES = UNITARY_GATES + [Gate.set0(), Gate.set1()]
+# permutations and SET gates round nothing differently, so they match bit for bit
+EXACT_KINDS = {"X", "I", "SET0", "SET1"}
+
+
+def random_amplitudes(rng, num_qubits, basis_target=None):
+    """A random normalized state; with ``basis_target``, every pair of basis
+    states differing only in that qubit has one side zeroed, so SET gates
+    on it are legal under any controls."""
+    amps = rng.normal(size=2 ** num_qubits) + 1j * rng.normal(size=2 ** num_qubits)
+    if basis_target is not None:
+        pairs = amps.reshape(-1, 2, 2 ** basis_target)
+        one = rng.integers(0, 2, size=(pairs.shape[0], 1, pairs.shape[2])).astype(bool)
+        pairs *= np.concatenate([~one, one], axis=1)
+    return amps / np.linalg.norm(amps)
+
+
+def random_instruction(rng, num_qubits, gate, cover_all=False):
+    target = int(rng.integers(0, num_qubits))
+    others = [q for q in range(num_qubits) if q != target and (cover_all or rng.random() < 0.5)]
+    return Instruction(gate, target, ControlPattern(tuple((q, int(rng.integers(0, 2))) for q in others)))
+
+
+def assert_kernel_matches(amps, num_qubits, instr):
+    got = apply_gate(StateVector(num_qubits, amps), instr.gate, instr.target, instr.controls)
+    want = reference_run(amps, num_qubits, [instr])
+    if instr.gate.kind in EXACT_KINDS:
+        assert np.array_equal(got.amplitudes, want)
+    else:
+        assert np.abs(got.amplitudes - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("gate", ALL_GATES, ids=lambda g: g.kind)
+def test_kernel_matches_tensordot_reference(num_qubits, gate):
+    rng = np.random.default_rng(1000 * num_qubits + ALL_GATES.index(gate))
+    for trial in range(12):
+        # every fourth instruction pins all qubits with controls plus target
+        instr = random_instruction(rng, num_qubits, gate, cover_all=trial % 4 == 0)
+        basis_target = instr.target if not gate.is_unitary else None
+        assert_kernel_matches(random_amplitudes(rng, num_qubits, basis_target), num_qubits, instr)
+
+
+@pytest.mark.parametrize("gate", ALL_GATES, ids=lambda g: g.kind)
+@pytest.mark.parametrize("bits", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_kernel_controls_above_and_below_target(gate, bits, rng):
+    # target qubit 1 with one control below (qubit 0) and one above (qubit 2),
+    # alone and together; together they pin every axis of the 3-qubit state
+    below, above = (0, bits[0]), (2, bits[1])
+    for terms in ((below,), (above,), (below, above)):
+        instr = Instruction(gate, 1, ControlPattern(terms))
+        basis_target = 1 if not gate.is_unitary else None
+        assert_kernel_matches(random_amplitudes(rng, 3, basis_target), 3, instr)
+
+
+def test_kernel_random_circuits_match_reference(rng):
+    for num_qubits in range(1, 7):
+        instrs = []
+        for _ in range(40):
+            gate = UNITARY_GATES[int(rng.integers(0, len(UNITARY_GATES)))]
+            instrs.append(random_instruction(rng, num_qubits, gate, cover_all=rng.random() < 0.2))
+        amps = random_amplitudes(rng, num_qubits)
+        got = run_circuit(StateVector(num_qubits, amps), Circuit(num_qubits, tuple(instrs)))
+        assert np.abs(got.amplitudes - reference_run(amps, num_qubits, instrs)).max() < 1e-12
+
+
+@pytest.mark.parametrize("gate", [Gate.set0(), Gate.set1()], ids=lambda g: g.kind)
+def test_kernel_set_rejects_superposed_target_under_full_controls(gate):
+    # qubit 0 superposed on the qubit-1=0 branch that the SET addresses
+    state = apply_gate(StateVector.zero(2), Gate.h(), 0)
+    with pytest.raises(NonBasisTargetError):
+        apply_gate(state, gate, 0, ControlPattern(((1, 0),)))
+    with pytest.raises(NonBasisTargetError):
+        reference_run(state.amplitudes, 2, [Instruction(gate, 0, ControlPattern(((1, 0),)))])
+    # the qubit-1=1 branch is empty, so the same SET there is legal
+    out = apply_gate(state, gate, 0, ControlPattern(((1, 1),)))
+    assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12

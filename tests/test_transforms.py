@@ -431,3 +431,51 @@ def test_comparator_region_interval_membership():
     mask = (1 << marker_bit) - 1
     assert np.array_equal(out & mask, basis & mask)
     assert np.array_equal(out >> (marker_bit + 1), np.zeros_like(out))
+
+
+def comparator_region_by_joins(layout, region, body):
+    """The original comparator_region_circuit, assembled by Circuit joins."""
+    from qhsl import ControlPattern, comparator, load_constant
+
+    free = max(body.num_qubits, layout.total_qubits)
+    computes, controls = [], []
+    for bounds, register, width in (
+        (region.lightness, list(layout.lightness_qubits), layout.q),
+        (region.y_range, list(layout.y_qubits), layout.n),
+        (region.x_range, list(layout.x_qubits), layout.n),
+    ):
+        if bounds is None:
+            continue
+        lo, hi = bounds
+        for bound, active, select_not_greater in ((lo, lo > 0, False), (hi, hi < 2 ** width - 1, True)):
+            if not active:
+                continue
+            const = list(range(free, free + width))
+            greater_flag, less_flag = free + width, free + width + 1
+            work = list(range(free + width + 2, free + 2 * width + 2))
+            free += 2 * width + 2
+            computes.append(load_constant(bound, const, free) +
+                            comparator(width, register, const, greater_flag, less_flag, work, free))
+            controls.append((greater_flag, 0) if select_not_greater else (less_flag, 0))
+    circuit = Circuit(free)
+    for compute in computes:
+        circuit = circuit + compute.shifted(0, free)
+    circuit = circuit + body.shifted(0, free).controlled(ControlPattern(tuple(controls)))
+    for compute in reversed(computes):
+        circuit = circuit + compute.shifted(0, free).inverse()
+    return circuit
+
+
+@pytest.mark.parametrize("region", [
+    RegionConstraint(lightness=(1, 2)),
+    RegionConstraint(lightness=(0, 5)),
+    RegionConstraint(lightness=(3, 7)),
+    RegionConstraint(lightness=(0, 7)),
+    RegionConstraint(lightness=(2, 6), y_range=(1, 2), x_range=(0, 1)),
+    RegionConstraint(x_range=(3, 3)),
+])
+def test_comparator_region_matches_joined_assembly(region, rng):
+    img = random_image(rng, 2, 3)
+    body = saturation_shift_circuit(img, 0.3)
+    assert comparator_region_circuit(img.layout, region, body) == \
+        comparator_region_by_joins(img.layout, region, body)
