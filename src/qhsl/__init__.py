@@ -62,6 +62,7 @@ from .sim import (
 )
 from .image import (
     DENSE_QUBIT_BUDGET,
+    MAX_IMAGE_N,
     PixelAddress,
     QhslImage,
     RegisterLayout,

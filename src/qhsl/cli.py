@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .color import AVERAGE, MANUAL, hsl_array_to_rgb
+from .color import AVERAGE, MANUAL
 from .errors import QhslError
 from .formats import (
     image_from_rgb_array,
@@ -23,6 +23,7 @@ from .formats import (
     read_mapping_table,
     read_pseudocolor_map,
     read_raster,
+    report_rows_to_rgb_array,
     save_circuit,
     save_dump,
     save_image,
@@ -84,11 +85,7 @@ def _cmd_decode(args) -> int:
         text = fh.read()
     if text.lstrip().startswith("#"):
         meta = parse_report(text)
-        side = 2 ** meta["n"]
-        hsl = np.zeros((side, side, 3), dtype=np.float64)
-        for y, x, hue, sat, light, undefined in meta["rows"]:
-            hsl[y, x] = (hue, 0.0 if undefined else sat, light)
-        write_raster(args.output, hsl_array_to_rgb(hsl))
+        write_raster(args.output, report_rows_to_rgb_array(meta["n"], meta["rows"]))
     else:
         save_image(args.output, load_dump(args.input))
     return 0

@@ -40,16 +40,25 @@ _CLAMP_SLACK = 1e-9
 _POLE_SIN = 1e-12
 
 
+def phase_steps(phi: float) -> int:
+    """Index of an angle on the modular phase grid, in [0, FULL_TURN_STEPS)."""
+    return round(phi / PHASE_STEP) % FULL_TURN_STEPS
+
+
 def canonical_phase(phi: float) -> float:
     """Round an angle onto the modular phase grid, reduced into [0, 2*pi)."""
-    steps = round(phi / PHASE_STEP) % FULL_TURN_STEPS
-    return steps * PHASE_STEP
+    return phase_steps(phi) * PHASE_STEP
 
 
 def add_phase(phi: float, delta: float) -> float:
     """Exact mod-2*pi sum of two angles, result on the phase grid."""
-    steps = (round(phi / PHASE_STEP) + round(delta / PHASE_STEP)) % FULL_TURN_STEPS
-    return steps * PHASE_STEP
+    return ((phase_steps(phi) + phase_steps(delta)) % FULL_TURN_STEPS) * PHASE_STEP
+
+
+def bloch_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:
+    """Normalized amplitude pair (cos(theta/2), e^{i phi} sin(theta/2))."""
+    half = 0.5 * theta
+    return complex(math.cos(half)), complex(math.cos(phi), math.sin(phi)) * math.sin(half)
 
 
 @dataclass(frozen=True)
@@ -102,8 +111,7 @@ class ChromaState:
 
     def amplitudes(self) -> tuple[complex, complex]:
         """Normalized amplitude pair (cos(theta/2), e^{i phi} sin(theta/2))."""
-        half = 0.5 * self.theta
-        return complex(math.cos(half)), complex(math.cos(self.phi), math.sin(self.phi)) * math.sin(half)
+        return bloch_amplitudes(self.theta, self.phi)
 
 
 @dataclass(frozen=True)
@@ -166,32 +174,34 @@ def decode_chroma(state: ChromaState) -> DecodedChroma:
     the Bloch poles (sin theta ~ 0) hue is indeterminate: the hue comes
     back as 0.0 with ``hue_undefined`` set.
     """
-    theta = state.theta
-    if theta <= SATURATION_LOW + _CLAMP_SLACK:
-        saturation = 0.0
-    elif theta >= SATURATION_HIGH - _CLAMP_SLACK:
-        saturation = 1.0
-    else:
-        saturation = 3.0 * theta / math.pi - 1.0
-    undefined = math.sin(theta) <= _POLE_SIN
-    hue = 0.0 if undefined else math.degrees(state.phi)
-    return DecodedChroma(hue, saturation, undefined)
+    hue, saturation, undefined = decode_chroma_arrays(state.theta, state.phi)
+    return DecodedChroma(float(hue), float(saturation), bool(undefined))
 
 
-def _round_half_down(x: float) -> int:
-    # ties go to the lower integer: 127.5 -> 127
-    return math.ceil(x - 0.5)
+def decode_chroma_arrays(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """decode_chroma elementwise: hue degrees, saturation and undefined-hue flags."""
+    theta = np.asarray(theta, dtype=np.float64)
+    saturation = np.where(theta <= SATURATION_LOW + _CLAMP_SLACK, 0.0,
+                          np.where(theta >= SATURATION_HIGH - _CLAMP_SLACK, 1.0,
+                                   3.0 * theta / math.pi - 1.0))
+    undefined = np.sin(theta) <= _POLE_SIN
+    hue = np.where(undefined, 0.0, np.degrees(phi))
+    return hue, saturation, undefined
 
 
 def lightness_to_fraction(code: LightnessCode) -> float:
     """Fraction in [0, 1] denoted by a lightness code under its mapping."""
-    if code.mapping == MANUAL:
-        if code.table is None:
-            raise ConfigurationError("manual mapping used without a table")
-        return code.table[code.bits]
-    if code.q == 0:
-        return 0.5
-    return code.bits / (2 ** code.q - 1)
+    return float(lightness_fractions(code.bits, code.q, code.mapping, code.table))
+
+
+def lightness_fractions(codes, q: int, mapping: str = AVERAGE, table=None) -> np.ndarray:
+    """lightness_to_fraction elementwise over an array of q-bit codes."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if mapping != MANUAL:
+        return codes / (2 ** q - 1) if q else np.full(codes.shape, 0.5)
+    if table is None:
+        raise ConfigurationError("manual mapping used without a table")
+    return np.asarray(table, dtype=np.float64)[codes]
 
 
 def quantize_lightness(fraction: float, q: int, mapping: str = AVERAGE,
@@ -199,15 +209,43 @@ def quantize_lightness(fraction: float, q: int, mapping: str = AVERAGE,
     """Nearest lightness code for a fraction; halfway cases take the lower code."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"lightness fraction {fraction!r} outside [0, 1]")
-    if mapping == MANUAL:
-        if table is None:
-            raise ConfigurationError("manual mapping used without a table")
-        entries = validate_table(table, q)
-        bits = min(range(len(entries)), key=lambda i: (abs(entries[i] - fraction), i))
-        return LightnessCode(q, bits, MANUAL, entries)
-    top = 2 ** q - 1
-    bits = min(max(_round_half_down(fraction * top), 0), top)
-    return LightnessCode(q, bits, AVERAGE)
+    if mapping != MANUAL:
+        return LightnessCode(q, int(quantize_codes(np.array([fraction]), q)[0]), AVERAGE)
+    if table is None:
+        raise ConfigurationError("manual mapping used without a table")
+    entries = validate_table(table, q)
+    return LightnessCode(q, int(quantize_codes(np.array([fraction]), q, MANUAL, entries)[0]),
+                         MANUAL, entries)
+
+
+def quantize_codes(fractions: np.ndarray, q: int, mapping: str = AVERAGE,
+                   table: tuple[float, ...] | None = None) -> np.ndarray:
+    """quantize_lightness elementwise, as int64 codes, for fractions in [0, 1].
+
+    A manual ``table`` must already have passed validate_table.  Its
+    nearest entry comes from a binary search; among entries at the same
+    (rounded) distance the lowest index wins, as in a linear scan.
+    """
+    fractions = np.asarray(fractions, dtype=np.float64)
+    if mapping != MANUAL:
+        # ties go to the lower integer: 127.5 -> 127
+        return np.clip(np.ceil(fractions * (2 ** q - 1) - 0.5), 0, 2 ** q - 1).astype(np.int64)
+    entries = np.asarray(table, dtype=np.float64)
+
+    def distance(i):
+        return np.abs(entries[i] - fractions)
+
+    upper = np.minimum(np.searchsorted(entries, fractions), entries.size - 1)
+    codes = np.where(distance(upper - 1) <= distance(upper), np.maximum(upper - 1, 0), upper)
+    nearest = distance(codes)
+    # distances only grow away from the fraction: step down from the first of
+    # each run of equal entries while the distance stays the same
+    while True:
+        codes = np.searchsorted(entries, entries[codes])
+        step = (codes > 0) & (distance(codes - 1) == nearest)
+        if not step.any():
+            return codes
+        codes = np.where(step, codes - 1, codes)
 
 
 def rgb_array_to_hsl(rgb: np.ndarray) -> np.ndarray:

@@ -34,7 +34,8 @@ class InconsistentStatisticsError(QhslError):
 
 
 class QubitBudgetError(QhslError):
-    """Dense simulation was refused because the register exceeds the qubit budget."""
+    """A size budget was exceeded: a dense register above the qubit budget,
+    or an image grid above the pixel limit."""
 
 
 class AncillaBudgetError(QhslError):

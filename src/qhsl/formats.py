@@ -26,21 +26,20 @@ import numpy as np
 
 from .color import (
     AVERAGE,
+    FULL_TURN_STEPS,
     MANUAL,
-    ChromaState,
-    HslColor,
-    LightnessCode,
+    PHASE_STEP,
     canonical_phase,
-    decode_chroma,
-    encode_chroma,
-    lightness_to_fraction,
-    quantize_lightness,
+    decode_chroma_arrays,
     hsl_array_to_rgb,
+    lightness_fractions,
+    phase_steps,
+    quantize_codes,
     rgb_array_to_hsl,
     validate_table,
 )
 from .errors import ConfigurationError, FormatError
-from .image import QhslImage
+from .image import QhslImage, check_image_size
 from .retrieval import RetrievalReport
 from .sim import Circuit, ControlPattern, Gate, Instruction
 from .transforms import PseudocolorMap
@@ -116,7 +115,8 @@ def read_ppm(path) -> np.ndarray:
 
 def write_ppm(path, rgb: np.ndarray) -> None:
     rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
+    # the reader refuses zero-sized rasters, so the writer does too
+    if rgb.ndim != 3 or rgb.shape[2] != 3 or 0 in rgb.shape:
         raise ValueError(f"expected an (h, w, 3) array, got shape {rgb.shape}")
     height, width = rgb.shape[:2]
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
@@ -256,7 +256,7 @@ def write_png(path, rgb: np.ndarray) -> None:
     given array always gives the same bytes.
     """
     rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
+    if rgb.ndim != 3 or rgb.shape[2] != 3 or 0 in rgb.shape:
         raise ValueError(f"expected an (h, w, 3) array, got shape {rgb.shape}")
     height, width = rgb.shape[:2]
     rows = np.zeros((height, 1 + width * 3), dtype=np.uint8)
@@ -294,27 +294,30 @@ def image_from_rgb_array(rgb: np.ndarray, n: int, q: int, mapping: str = AVERAGE
     """Encode an RGB raster onto the 2**n x 2**n pixel grid.
 
     Rasters smaller than the grid are padded with black on the bottom and
-    right; larger ones are refused rather than silently cropped.
+    right; larger ones are refused rather than silently cropped.  Grids
+    above n = MAX_IMAGE_N raise QubitBudgetError.
     """
     rgb = np.asarray(rgb, dtype=np.uint8)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise FormatError(f"expected an (h, w, 3) raster, got shape {rgb.shape}")
+    check_image_size(n)
     side = 2 ** n
     height, width = rgb.shape[:2]
     if height > side or width > side:
         raise FormatError(f"raster {width}x{height} exceeds the {side}x{side} grid for n={n}")
-    if (height, width) != (side, side):
-        padded = np.zeros((side, side, 3), dtype=np.uint8)
-        padded[:height, :width] = rgb
-        rgb = padded
-    hsl = rgb_array_to_hsl(rgb)
-    pixels = []
-    for y in range(side):
-        for x in range(side):
-            hue, sat, light = (float(v) for v in hsl[y, x])
-            pixels.append((encode_chroma(HslColor(hue, sat, light)),
-                           quantize_lightness(light, q, mapping, table)))
-    return QhslImage(n, q, tuple(pixels), table_source)
+    if mapping == MANUAL:
+        if table is None:
+            raise ConfigurationError("manual mapping used without a table")
+        table = validate_table(table, q)
+    else:
+        mapping, table = AVERAGE, None
+    padded = np.zeros((side, side, 3), dtype=np.uint8)
+    padded[:height, :width] = rgb
+    hue, sat, light = rgb_array_to_hsl(padded).reshape(-1, 3).T
+    steps = np.rint(np.radians(hue) / PHASE_STEP).astype(np.int64) % FULL_TURN_STEPS
+    return QhslImage.from_arrays(n, q, (1.0 + sat) * (math.pi / 3.0), steps,
+                                 quantize_codes(light, q, mapping, table), mapping, table,
+                                 table_source)
 
 
 def image_to_rgb_array(img: QhslImage) -> np.ndarray:
@@ -323,22 +326,36 @@ def image_to_rgb_array(img: QhslImage) -> np.ndarray:
     Pixels whose hue is indeterminate (chroma at a Bloch pole) render as
     the saturation-zero grey of their lightness.
     """
-    side = img.side
-    hsl = np.zeros((side, side, 3), dtype=np.float64)
-    for y, x, chroma, code in img.enumerate_pixels():
-        dec = decode_chroma(chroma)
-        sat = 0.0 if dec.hue_undefined else dec.saturation
-        hsl[y, x] = (dec.hue, sat, lightness_to_fraction(code))
-    return hsl_array_to_rgb(hsl)
+    pos = np.arange(4 ** img.n)
+    hue, sat, undefined = decode_chroma_arrays(img.theta, img.phi)
+    light = lightness_fractions(img.codes, img.q, img.mapping, img.table)
+    return report_rows_to_rgb_array(
+        img.n, np.column_stack([pos >> img.n, pos & (img.side - 1), hue, sat, light, undefined]))
+
+
+def report_rows_to_rgb_array(n: int, rows) -> np.ndarray:
+    """Render (y, x, hue, saturation, lightness, hue_undefined) rows to 8-bit RGB.
+
+    Saturation counts as zero where the hue is undefined; pixels without a
+    row stay black.  Reports and images both render through here.
+    """
+    side = 2 ** n
+    data = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    y, x = data[:, 0].astype(np.int64), data[:, 1].astype(np.int64)
+    outside = np.flatnonzero((y < 0) | (y >= side) | (x < 0) | (x >= side))
+    if outside.size:
+        i = outside[0]
+        raise FormatError(f"report pixel ({y[i]}, {x[i]}) outside the {side}x{side} grid")
+    hsl = np.zeros((side * side, 3), dtype=np.float64)
+    hsl[y * side + x] = np.column_stack(
+        [data[:, 2], np.where(data[:, 5] != 0.0, 0.0, data[:, 3]), data[:, 4]])
+    return hsl_array_to_rgb(hsl.reshape(side, side, 3))
 
 
 def report_to_rgb_array(report: RetrievalReport) -> np.ndarray:
-    side = 2 ** report.n
-    hsl = np.zeros((side, side, 3), dtype=np.float64)
-    for px in report.pixels:
-        sat = 0.0 if px.hue_undefined else px.saturation
-        hsl[px.y, px.x] = (px.hue, sat, px.lightness)
-    return hsl_array_to_rgb(hsl)
+    return report_rows_to_rgb_array(report.n, [
+        (px.y, px.x, px.hue, px.saturation, px.lightness, px.hue_undefined)
+        for px in report.pixels])
 
 
 def save_image(path, source) -> None:
@@ -373,10 +390,11 @@ def format_image(img: QhslImage) -> str:
     else:
         mapping = "average"
     lines = [f"QHSL n={img.n} q={img.q} mapping={mapping}"]
-    for y, x, chroma, code in img.enumerate_pixels():
-        theta = _stable_angle(chroma.theta, _snap_theta)
-        phi = _stable_angle(chroma.phi, canonical_phase)
-        lines.append(f"{y} {x} {theta} {phi} {code.bits}")
+    side = img.side
+    for i, (theta, phi, bits) in enumerate(zip(img.theta.tolist(), img.phi.tolist(),
+                                               img.codes.tolist())):
+        lines.append(f"{i // side} {i % side} {_stable_angle(theta, _snap_theta)} "
+                     f"{_stable_angle(phi, canonical_phase)} {bits}")
     return "\n".join(lines) + "\n"
 
 
@@ -398,7 +416,7 @@ def parse_image(text: str, base_dir=None) -> QhslImage:
     ``base_dir`` (the dump's directory when loading from a file).
     """
     header = None
-    pixels = []
+    thetas, steps, codes = [], [], []
     n = q = side = 0
     mapping, table, ref = AVERAGE, None, None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -419,6 +437,7 @@ def parse_image(text: str, base_dir=None) -> QhslImage:
                 raise FormatError(f"line {ln}: {exc}") from exc
             if n < 0 or q < 0:
                 raise FormatError(f"line {ln}: n and q must be non-negative")
+            check_image_size(n, f"line {ln}: ")
             spec = fields["mapping"]
             if spec == "average":
                 mapping = AVERAGE
@@ -441,7 +460,7 @@ def parse_image(text: str, base_dir=None) -> QhslImage:
         tokens = line.split()
         if len(tokens) != 5:
             raise FormatError(f"line {ln}: expected 'y x theta phi L', got {len(tokens)} fields")
-        index = len(pixels)
+        index = len(codes)
         if index >= side * side:
             raise FormatError(f"line {ln}: more pixel lines than the {side}x{side} grid")
         try:
@@ -450,23 +469,25 @@ def parse_image(text: str, base_dir=None) -> QhslImage:
             bits = int(tokens[4])
         except ValueError as exc:
             raise FormatError(f"line {ln}: {exc}") from exc
-        if (y, x) != (index // side, index % side):
+        if (y, x) != divmod(index, side):
             raise FormatError(
                 f"line {ln}: pixel ({y}, {x}) out of raster order, expected "
                 f"({index // side}, {index % side})")
-        if theta < 0.0 or theta > math.pi + 1e-9:
+        if not 0.0 <= theta <= math.pi + 1e-9:
             raise FormatError(f"line {ln}: theta {theta} outside [0, pi]")
-        theta = min(theta, math.pi)
+        if not 0 <= bits < 2 ** q:
+            raise FormatError(f"line {ln}: bits {bits} outside 0..{2 ** q - 1}")
         try:
-            pixels.append((ChromaState(theta, canonical_phase(phi)),
-                           LightnessCode(q, bits, mapping, table)))
-        except (ValueError, FormatError) as exc:
+            steps.append(phase_steps(phi))
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"line {ln}: {exc}") from exc
+        thetas.append(min(theta, math.pi))
+        codes.append(bits)
     if header is None:
         raise FormatError("empty image dump")
-    if len(pixels) != side * side:
-        raise FormatError(f"dump has {len(pixels)} pixel lines, expected {side * side}")
-    return QhslImage(n, q, tuple(pixels), ref)
+    if len(codes) != side * side:
+        raise FormatError(f"dump has {len(codes)} pixel lines, expected {side * side}")
+    return QhslImage.from_arrays(n, q, thetas, steps, codes, mapping, table, ref)
 
 
 def save_dump(path, img: QhslImage) -> None:
@@ -480,8 +501,6 @@ def load_dump(path) -> QhslImage:
 
 _CIRCUIT_HEADER_RE = re.compile(r"#\s*qhsl-circuit\s+v1\s+qubits=(\d+)\s*$")
 _INSTR_RE = re.compile(r"^(\w+)\(([^)]*)\)\s+t=(\d+)(?:\s+c=\[([^\]]*)\])?\s*$")
-_GATE_ARITY = {"RY": 1, "RZ": 1, "R": 2, "H": 0, "X": 0, "I": 0,
-               "SET0": 0, "SET1": 0, "U1": 0, "U2": 0}
 
 
 def format_circuit(circuit: Circuit) -> str:
@@ -519,15 +538,11 @@ def parse_circuit(text: str) -> Circuit:
         if not m:
             raise FormatError(f"line {ln}: unrecognized instruction {line!r}")
         kind, params_s, target_s, controls_s = m.groups()
-        if kind not in _GATE_ARITY:
-            raise FormatError(f"line {ln}: unknown gate kind {kind!r}")
         try:
-            params = tuple(float(p) for p in params_s.split(",") if p.strip())
+            # Gate checks the kind and its parameter count
+            gate = Gate(kind, tuple(float(p) for p in params_s.split(",") if p.strip()))
         except ValueError as exc:
             raise FormatError(f"line {ln}: {exc}") from exc
-        if len(params) != _GATE_ARITY[kind]:
-            raise FormatError(
-                f"line {ln}: {kind} takes {_GATE_ARITY[kind]} parameters, got {len(params)}")
         terms = []
         if controls_s:
             for part in controls_s.split(","):
@@ -539,8 +554,7 @@ def parse_circuit(text: str) -> Circuit:
                 except ValueError as exc:
                     raise FormatError(f"line {ln}: {exc}") from exc
         try:
-            instrs.append(Instruction(Gate(kind, params), int(target_s),
-                                      ControlPattern(tuple(terms))))
+            instrs.append(Instruction(gate, int(target_s), ControlPattern(tuple(terms))))
         except ValueError as exc:
             raise FormatError(f"line {ln}: {exc}") from exc
     if num_qubits is None:

@@ -14,16 +14,35 @@ makes large images and exact retrieval cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .color import ChromaState, LightnessCode
+from .color import (
+    AVERAGE,
+    FULL_TURN_STEPS,
+    PHASE_STEP,
+    ChromaState,
+    LightnessCode,
+    bloch_amplitudes,
+    phase_steps,
+)
 from .errors import QubitBudgetError
 from .sim import Circuit, ControlPattern, Gate, Instruction, StateVector, run_circuit
 
 DENSE_QUBIT_BUDGET = 26
+# largest grid exponent an image may have: 2**11 x 2**11 = 4M pixels
+MAX_IMAGE_N = 11
+
+
+def check_image_size(n: int, context: str = "") -> None:
+    """Refuse grids above MAX_IMAGE_N before any per-pixel allocation."""
+    if n > MAX_IMAGE_N:
+        raise QubitBudgetError(
+            f"{context}a 2**{n} x 2**{n} image exceeds the limit of n={MAX_IMAGE_N} "
+            f"({4 ** MAX_IMAGE_N} pixels)")
 
 
 @dataclass(frozen=True)
@@ -106,36 +125,72 @@ class RegisterLayout:
             raise ValueError(f"pixel ({addr.y}, {addr.x}) outside a {self.side}x{self.side} image")
 
 
-@dataclass(frozen=True)
 class QhslImage:
     """A 2**n x 2**n grid of (chroma state, lightness code) pixels.
 
-    Pixels are stored in raster order (row y=0 first).  All lightness
-    codes must agree on q and on the mapping; the shared mapping metadata
-    is exposed through properties.  ``table_source`` optionally records
-    where a manual table came from, for tools that serialize the image.
+    Pixels are stored in raster order (row y=0 first) as three read-only
+    arrays: ``theta`` (float64), ``phase_steps`` (int64 hue phases in
+    units of PHASE_STEP, in [0, FULL_TURN_STEPS)) and ``codes`` (int64
+    lightness codes), plus the shared ``mapping`` and ``table``.
+    ``table_source`` optionally records where a manual table came from,
+    for tools that serialize the image.  ``pixel``, ``chroma``, ``code``,
+    ``enumerate_pixels`` and ``pixels`` build dataclasses on demand.
     """
 
-    n: int
-    q: int
-    pixels: tuple[tuple[ChromaState, LightnessCode], ...]
-    table_source: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.q < 0:
+    def __init__(self, n: int, q: int, pixels, table_source: str | None = None):
+        if n < 0 or q < 0:
             raise ValueError("n and q must be non-negative")
-        pixels = tuple(self.pixels)
-        if len(pixels) != 4 ** self.n:
-            raise ValueError(f"expected {4 ** self.n} pixels, got {len(pixels)}")
-        first = pixels[0][1]
-        for chroma, code in pixels:
-            if not isinstance(chroma, ChromaState):
-                raise TypeError("pixel chroma must be a ChromaState")
-            if code.q != self.q:
-                raise ValueError(f"lightness code width {code.q} differs from image q={self.q}")
-            if code.mapping != first.mapping or code.table != first.table:
-                raise ValueError("all pixels must share one lightness mapping")
-        object.__setattr__(self, "pixels", pixels)
+        pixels = tuple(pixels)
+        if len(pixels) != 4 ** n:
+            raise ValueError(f"expected {4 ** n} pixels, got {len(pixels)}")
+        chromas, codes = zip(*pixels)
+        if not all(isinstance(chroma, ChromaState) for chroma in chromas):
+            raise TypeError("pixel chroma must be a ChromaState")
+        widths = {code.q for code in codes} - {q}
+        if widths:
+            raise ValueError(f"lightness code width {widths.pop()} differs from image q={q}")
+        if len({(code.mapping, code.table) for code in codes}) > 1:
+            raise ValueError("all pixels must share one lightness mapping")
+        self._set(n, q, [chroma.theta for chroma in chromas],
+                  [phase_steps(chroma.phi) for chroma in chromas],
+                  [code.bits for code in codes], codes[0].mapping, codes[0].table, table_source)
+
+    @classmethod
+    def from_arrays(cls, n: int, q: int, theta, phase_steps, codes, mapping: str = AVERAGE,
+                    table=None, table_source: str | None = None) -> "QhslImage":
+        """Build an image from raster-order arrays (copied; see the class docstring)."""
+        img = cls.__new__(cls)
+        img._set(n, q, theta, phase_steps, codes, mapping, table, table_source)
+        return img
+
+    def _set(self, n, q, theta, phase_steps, codes, mapping, table, table_source) -> None:
+        if n < 0 or q < 0:
+            raise ValueError("n and q must be non-negative")
+        # a LightnessCode checks the mapping name and validates the table
+        self.table = LightnessCode(q, 0, mapping, table).table
+        self.n, self.q, self.mapping, self.table_source = n, q, mapping, table_source
+        self.theta = np.array(theta, dtype=np.float64)
+        self.phase_steps = np.array(phase_steps, dtype=np.int64)
+        self.codes = np.array(codes, dtype=np.int64)
+        if not (self.theta.shape == self.phase_steps.shape == self.codes.shape == (4 ** n,)
+                and np.all((self.theta >= 0.0) & (self.theta <= math.pi))
+                and np.all((self.phase_steps >= 0) & (self.phase_steps < FULL_TURN_STEPS))
+                and np.all((self.codes >= 0) & (self.codes < 2 ** q))):
+            raise ValueError(f"expected {4 ** n} pixels: theta in [0, pi], phase steps in "
+                             f"[0, {FULL_TURN_STEPS}), codes in [0, {2 ** q})")
+        for array in (self.theta, self.phase_steps, self.codes):
+            array.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, QhslImage)
+                and (self.n, self.q, self.mapping, self.table, self.table_source)
+                == (other.n, other.q, other.mapping, other.table, other.table_source)
+                and np.array_equal(self.theta, other.theta)
+                and np.array_equal(self.phase_steps, other.phase_steps)
+                and np.array_equal(self.codes, other.codes))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.q, self.mapping, self.table, self.table_source))
 
     @property
     def side(self) -> int:
@@ -146,17 +201,24 @@ class QhslImage:
         return RegisterLayout(self.n, self.q)
 
     @property
-    def mapping(self) -> str:
-        return self.pixels[0][1].mapping
+    def phi(self) -> np.ndarray:
+        """Hue phases in radians, on the phase grid."""
+        return self.phase_steps * PHASE_STEP
 
     @property
-    def table(self) -> tuple[float, ...] | None:
-        return self.pixels[0][1].table
+    def pixels(self) -> tuple[tuple[ChromaState, LightnessCode], ...]:
+        return tuple((chroma, code) for _, _, chroma, code in self.enumerate_pixels())
 
-    def pixel(self, y: int, x: int) -> tuple[ChromaState, LightnessCode]:
+    def raster_index(self, y: int, x: int) -> int:
+        """Array index of pixel (y, x)."""
         if not (0 <= y < self.side and 0 <= x < self.side):
             raise ValueError(f"pixel ({y}, {x}) outside a {self.side}x{self.side} image")
-        return self.pixels[y * self.side + x]
+        return y * self.side + x
+
+    def pixel(self, y: int, x: int) -> tuple[ChromaState, LightnessCode]:
+        i = self.raster_index(y, x)
+        return (ChromaState(float(self.theta[i]), int(self.phase_steps[i]) * PHASE_STEP),
+                LightnessCode(self.q, int(self.codes[i]), self.mapping, self.table))
 
     def chroma(self, y: int, x: int) -> ChromaState:
         return self.pixel(y, x)[0]
@@ -166,11 +228,8 @@ class QhslImage:
 
     def enumerate_pixels(self) -> Iterator[tuple[int, int, ChromaState, LightnessCode]]:
         side = self.side
-        for i, (chroma, code) in enumerate(self.pixels):
-            yield i // side, i % side, chroma, code
-
-    def with_pixels(self, pixels) -> "QhslImage":
-        return QhslImage(self.n, self.q, tuple(pixels), self.table_source)
+        for i in range(4 ** self.n):
+            yield (i // side, i % side, *self.pixel(i // side, i % side))
 
 
 def position_superposition_circuit(layout: RegisterLayout) -> Circuit:
@@ -201,9 +260,10 @@ def preparation_circuit(img: QhslImage) -> Circuit:
     """Full state preparation: position superposition, then per-pixel setters."""
     layout = img.layout
     instrs = list(position_superposition_circuit(layout).instructions)
-    for y, x, chroma, code in img.enumerate_pixels():
-        instrs += pixel_setter_circuit(layout, PixelAddress(y, x),
-                                       chroma.phi, chroma.theta, code.bits).instructions
+    for pos, (theta, phi, bits) in enumerate(zip(img.theta.tolist(), img.phi.tolist(),
+                                                 img.codes.tolist())):
+        instrs += pixel_setter_circuit(layout, PixelAddress(pos >> img.n, pos & (img.side - 1)),
+                                       phi, theta, bits).instructions
     return Circuit(layout.total_qubits, tuple(instrs))
 
 
@@ -231,22 +291,24 @@ class StructuredState:
 
     def amplitude(self, index: int) -> complex:
         y, x, lightness, chroma_bit = self.layout.split_index(index)
-        chroma, code = self.image.pixel(y, x)
-        if lightness != code.bits:
+        if lightness != self.image.codes[y * self.layout.side + x]:
             return 0j
-        a0, a1 = chroma.amplitudes()
+        a0, a1 = self.chroma_amplitudes(y, x)
         return self._scale * (a1 if chroma_bit else a0)
 
     def chroma_amplitudes(self, y: int, x: int) -> tuple[complex, complex]:
         """Normalized chroma amplitude pair of one pixel branch."""
-        return self.image.chroma(y, x).amplitudes()
+        i = self.image.raster_index(y, x)
+        return bloch_amplitudes(float(self.image.theta[i]), float(self.image.phi[i]))
+
+    def all_chroma_amplitudes(self) -> list[tuple[complex, complex]]:
+        """chroma_amplitudes of every pixel, in raster order."""
+        return [bloch_amplitudes(theta, phi)
+                for theta, phi in zip(self.image.theta.tolist(), self.image.phi.tolist())]
 
     def norm_squared(self) -> float:
-        total = 0.0
-        for _, _, chroma, _ in self.image.enumerate_pixels():
-            a0, a1 = chroma.amplitudes()
-            total += (abs(a0) ** 2 + abs(a1) ** 2) * self._scale ** 2
-        return total
+        return sum((abs(a0) ** 2 + abs(a1) ** 2) * self._scale ** 2
+                   for a0, a1 in self.all_chroma_amplitudes())
 
     def to_statevector(self, qubit_budget: int = DENSE_QUBIT_BUDGET) -> StateVector:
         layout = self.layout
@@ -254,10 +316,10 @@ class StructuredState:
             raise QubitBudgetError(
                 f"materializing {layout.total_qubits} qubits exceeds the budget of {qubit_budget}")
         amps = np.zeros(2 ** layout.total_qubits, dtype=complex)
-        for y, x, chroma, code in self.image.enumerate_pixels():
-            a0, a1 = chroma.amplitudes()
-            amps[layout.basis_index(y, x, code.bits, 0)] = self._scale * a0
-            amps[layout.basis_index(y, x, code.bits, 1)] = self._scale * a1
+        branch = np.arange(4 ** layout.n) | (self.image.codes << (2 * layout.n))
+        pairs = self.all_chroma_amplitudes()
+        amps[branch] = [self._scale * a0 for a0, _ in pairs]
+        amps[branch | (1 << layout.chroma_qubit)] = [self._scale * a1 for _, a1 in pairs]
         return StateVector(layout.total_qubits, amps)
 
 

@@ -22,7 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .color import AVERAGE, ChromaState, LightnessCode, decode_chroma, lightness_to_fraction
+from .color import (
+    AVERAGE,
+    ChromaState,
+    canonical_phase,
+    decode_chroma_arrays,
+    lightness_fractions,
+)
 from .errors import InconsistentStatisticsError, NonBasisLightnessError
 from .image import QhslImage, RegisterLayout, structured_state
 from .sim import Gate, StateVector, apply_gate, joint_probabilities
@@ -31,7 +37,7 @@ EXACT_HUE_FLOOR = 1e-6
 _BRANCH_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChromaStatistics:
     """Measured expectations of one chroma qubit in the three bases.
 
@@ -97,12 +103,22 @@ def measure_chroma(source, mode: str = "exact", shots: int | None = None,
         raise ValueError("shots mode needs a positive shot count")
     if rng is None:
         rng = np.random.default_rng(seed)
-    estimates = []
-    for expectation in (k, v, w):
-        p0 = min(max(0.5 * (1.0 + expectation), 0.0), 1.0)
-        n0 = int(rng.binomial(shots, p0))
-        estimates.append((2 * n0 - shots) / shots)
-    return ChromaStatistics(*estimates, shots_per_basis=shots)
+    zeros = rng.binomial(shots, _zero_probability(np.array([k, v, w])))
+    return ChromaStatistics(*_estimates(zeros, shots).tolist(), shots_per_basis=shots)
+
+
+def _zero_probability(expectations: np.ndarray) -> np.ndarray:
+    """Outcome-0 probability in each basis, for binomial shot draws.
+
+    One rng.binomial call over an array of these takes the same values
+    from the generator, in the same order, as one call per element, so
+    batched draws keep seeded reports byte-identical.
+    """
+    return np.clip(0.5 * (1.0 + expectations), 0.0, 1.0)
+
+
+def _estimates(zeros: np.ndarray, trials) -> np.ndarray:
+    return (2 * zeros - trials) / trials
 
 
 def estimate_theta(stats: ChromaStatistics) -> float:
@@ -143,7 +159,7 @@ def measure_lightness(source, y: int, x: int, layout: RegisterLayout | None = No
     identical across runs.
     """
     if isinstance(source, QhslImage):
-        return source.code(y, x).bits
+        return int(source.codes[source.raster_index(y, x)])
     if layout is None:
         raise ValueError("dense lightness readout needs a register layout")
     return int(_dense_lightness_codes(source, layout, [(y << layout.n) | x])[0])
@@ -171,7 +187,7 @@ def _dense_lightness_codes(state: StateVector, layout: RegisterLayout,
     return codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievedPixel:
     y: int
     x: int
@@ -202,101 +218,78 @@ class RetrievalReport:
         return self.pixels[y * 2 ** self.n + x]
 
 
-def _finish_pixel(y: int, x: int, stats: ChromaStatistics, code_bits: int,
-                  q: int, mapping: str, table) -> RetrievedPixel:
-    theta = estimate_theta(stats)
-    phi, undefined = estimate_phi(stats)
-    decoded = decode_chroma(ChromaState(theta, phi))
-    hue = 0.0 if undefined else decoded.hue
-    lightness = lightness_to_fraction(LightnessCode(q, code_bits, mapping, table))
-    sigma = stats.sigma
-    sin_theta = max(math.sin(theta), EXACT_HUE_FLOOR)
-    radius = max(math.hypot(stats.v, stats.w), EXACT_HUE_FLOOR)
-    return RetrievedPixel(
-        y=y, x=x, theta=theta, phi=phi, hue=hue, saturation=decoded.saturation,
-        code=code_bits, lightness=lightness, hue_undefined=undefined,
-        theta_3sigma=3.0 * sigma / sin_theta,
-        phi_3sigma=6.0 * sigma / radius,
-    )
+def _finish_pixels(layout: RegisterLayout, stats: Sequence[ChromaStatistics], codes: np.ndarray,
+                   mapping: str, table) -> tuple[RetrievedPixel, ...]:
+    thetas = [estimate_theta(s) for s in stats]
+    phis, undefined = zip(*map(estimate_phi, stats))
+    hue, saturation, _ = decode_chroma_arrays(thetas, [canonical_phase(p) for p in phis])
+    lightness = lightness_fractions(codes, layout.q, mapping, table)
+    return tuple(
+        RetrievedPixel(y=pos >> layout.n, x=pos & (layout.side - 1), theta=t, phi=p,
+                       hue=0.0 if u else h, saturation=sat, code=code, lightness=light,
+                       hue_undefined=u,
+                       theta_3sigma=3.0 * s.sigma / max(math.sin(t), EXACT_HUE_FLOOR),
+                       phi_3sigma=6.0 * s.sigma / max(math.hypot(s.v, s.w), EXACT_HUE_FLOOR))
+        for pos, (s, t, p, u, h, sat, code, light) in enumerate(zip(
+            stats, thetas, phis, undefined, hue.tolist(), saturation.tolist(), codes.tolist(),
+            lightness.tolist())))
+
+
+def _statistics(kvw: np.ndarray, budgets: np.ndarray | None = None) -> list[ChromaStatistics]:
+    """One ChromaStatistics per column of a (3, pixels) array of k, v, w."""
+    budgets = [None] * kvw.shape[1] if budgets is None else budgets.tolist()
+    return [ChromaStatistics(k, v, w, shots_per_basis=m)
+            for (k, v, w), m in zip(kvw.T.tolist(), budgets)]
 
 
 def _structured_statistics(img: QhslImage, mode: str, shots, seed, branch):
-    state = structured_state(img)
-    pixel_count = 4 ** img.n
-    per_pixel: list[ChromaStatistics] = []
+    kvw = np.array([_chroma_expectations(a0, a1)
+                    for a0, a1 in structured_state(img).all_chroma_amplitudes()]).T
+    pixel_count = kvw.shape[1]
     if mode == "exact":
-        for y, x, _, _ in img.enumerate_pixels():
-            a0, a1 = state.chroma_amplitudes(y, x)
-            per_pixel.append(ChromaStatistics(*_chroma_expectations(a0, a1)))
-        return per_pixel
+        return _statistics(kvw)
     if branch == "oracle":
         # independent per-pixel streams split off the master seed
-        streams = np.random.SeedSequence(seed).spawn(pixel_count)
-        for i, (y, x, _, _) in enumerate(img.enumerate_pixels()):
-            rng = np.random.default_rng(streams[i])
-            per_pixel.append(measure_chroma(state.chroma_amplitudes(y, x),
-                                            "shots", shots=shots, rng=rng))
-        return per_pixel
+        # (three scalar draws cost less than one call over a 3-element array)
+        streams = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(pixel_count))
+        zeros = [[rng.binomial(shots, p0) for p0 in row]
+                 for rng, row in zip(streams, _zero_probability(kvw).T.tolist())]
+        return _statistics(_estimates(np.array(zeros).T, shots), np.full(pixel_count, shots))
     # rejection: full-register sampling lands on a uniformly random pixel,
     # so per-basis pixel allocations are multinomial over shots * pixels draws
     rng = np.random.default_rng(seed)
     uniform = np.full(pixel_count, 1.0 / pixel_count)
-    expectations = []
-    for y, x, _, _ in img.enumerate_pixels():
-        a0, a1 = state.chroma_amplitudes(y, x)
-        expectations.append(_chroma_expectations(a0, a1))
-    samples: list[list[tuple[int, int]]] = [[] for _ in range(pixel_count)]
-    for axis in range(3):
+    estimates, allocations = [], []
+    for p0 in _zero_probability(kvw):
         allocation = rng.multinomial(shots * pixel_count, uniform)
-        for i in range(pixel_count):
-            m = int(allocation[i])
-            if m == 0:
-                raise InconsistentStatisticsError(
-                    f"pixel {i} received no samples; increase the shot budget")
-            p0 = min(max(0.5 * (1.0 + expectations[i][axis]), 0.0), 1.0)
-            n0 = int(rng.binomial(m, p0))
-            samples[i].append((n0, m))
-    for i in range(pixel_count):
-        (kz, mz), (vu, mu), (wu, mw) = samples[i]
-        per_pixel.append(ChromaStatistics(
-            (2 * kz - mz) / mz, (2 * vu - mu) / mu, (2 * wu - mw) / mw,
-            shots_per_basis=min(mz, mu, mw)))
-    return per_pixel
+        starved = np.flatnonzero(allocation == 0)
+        if starved.size:
+            raise InconsistentStatisticsError(
+                f"pixel {starved[0]} received no samples; increase the shot budget")
+        estimates.append(_estimates(rng.binomial(allocation, p0), allocation))
+        allocations.append(allocation)
+    return _statistics(np.array(estimates), np.min(allocations, axis=0))
 
 
 def _dense_statistics(state: StateVector, layout: RegisterLayout, mode: str,
                       shots, seed):
     npos = 4 ** layout.n
     qubits = list(layout.position_qubits) + [layout.chroma_qubit]
-    joints = []
-    for rotation in (None, Gate.u1(), Gate.u2()):
-        rotated = state if rotation is None else apply_gate(state, rotation, layout.chroma_qubit)
-        joints.append(joint_probabilities(rotated, qubits))
-    rng = np.random.default_rng(seed)
-    per_pixel: list[ChromaStatistics] = []
+    joints = np.array([
+        joint_probabilities(state if rotation is None
+                            else apply_gate(state, rotation, layout.chroma_qubit), qubits)
+        for rotation in (None, Gate.u1(), Gate.u2())])
     if mode == "shots":
-        counts = [rng.multinomial(shots * npos, j / j.sum()) for j in joints]
-    for pos in range(npos):
-        values = []
-        budget = None
-        for axis in range(3):
-            if mode == "exact":
-                p0 = float(joints[axis][pos])
-                p1 = float(joints[axis][pos + npos])
-                total = p0 + p1
-                if total <= _BRANCH_EPS:
-                    raise InconsistentStatisticsError(f"pixel branch {pos} has no probability")
-                values.append((p0 - p1) / total)
-            else:
-                n0 = int(counts[axis][pos])
-                n1 = int(counts[axis][pos + npos])
-                if n0 + n1 == 0:
-                    raise InconsistentStatisticsError(
-                        f"pixel branch {pos} received no samples; increase the shot budget")
-                values.append((n0 - n1) / (n0 + n1))
-                budget = n0 + n1 if budget is None else min(budget, n0 + n1)
-        per_pixel.append(ChromaStatistics(*values, shots_per_basis=budget))
-    return per_pixel
+        rng = np.random.default_rng(seed)
+        joints = np.array([rng.multinomial(shots * npos, j / j.sum()) for j in joints])
+    zero, one = joints[:, :npos], joints[:, npos:]
+    totals = zero + one
+    empty = np.flatnonzero((totals <= _BRANCH_EPS).any(axis=0))
+    if empty.size:
+        raise InconsistentStatisticsError(
+            f"pixel branch {empty[0]} has no probability" if mode == "exact" else
+            f"pixel branch {empty[0]} received no samples; increase the shot budget")
+    return _statistics((zero - one) / totals, totals.min(axis=0) if mode == "shots" else None)
 
 
 def retrieve_image(source, mode: str = "exact", *, shots: int | None = None,
@@ -322,7 +315,7 @@ def retrieve_image(source, mode: str = "exact", *, shots: int | None = None,
         mapping = source.mapping if mapping is None else mapping
         table = source.table if table is None else table
         stats = _structured_statistics(source, mode, shots, seed, branch)
-        codes = [code.bits for _, _, _, code in source.enumerate_pixels()]
+        codes = source.codes
     elif isinstance(source, StateVector):
         if layout is None:
             raise ValueError("dense retrieval needs a register layout")
@@ -332,17 +325,11 @@ def retrieve_image(source, mode: str = "exact", *, shots: int | None = None,
             raise ValueError("the oracle branch fast path needs the structured backend")
         mapping = AVERAGE if mapping is None else mapping
         stats = _dense_statistics(source, layout, mode, shots, seed)
-        codes = _dense_lightness_codes(source, layout, range(4 ** layout.n)).tolist()
+        codes = _dense_lightness_codes(source, layout, range(4 ** layout.n))
     else:
         raise TypeError(f"cannot retrieve from {type(source).__name__}")
 
-    side = layout.side
-    pixels = tuple(
-        _finish_pixel(pos >> layout.n, pos & (side - 1), stats[pos], codes[pos],
-                      layout.q, mapping, table)
-        for pos in range(4 ** layout.n)
-    )
     return RetrievalReport(n=layout.n, q=layout.q, mode=mode,
                            shots_per_basis=shots if mode == "shots" else None,
                            seed=seed, branch=branch if mode == "shots" else "exact",
-                           pixels=pixels)
+                           pixels=_finish_pixels(layout, stats, codes, mapping, table))

@@ -2,8 +2,9 @@
 
 Every transform exists twice: as a direct update of stored pixel values
 and as a circuit over the image register.  The two agree on prepared
-states; tests hold them together.  Region-constrained variants leave
-unselected pixels untouched (the same objects, bit for bit).
+states; tests hold them together.  The pixel forms are masked array
+operations; region-constrained variants leave unselected pixels
+untouched, bit for bit.
 
 Selections over the lightness code come in two interchangeable flavours:
 control-pattern synthesis (a threshold `<= xi` decomposes into the
@@ -14,15 +15,16 @@ flag qubits gate the payload and are uncomputed afterwards.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .color import (
+    FULL_TURN_STEPS,
     SATURATION_HIGH,
-    ChromaState,
-    add_phase,
-    decode_chroma,
+    decode_chroma_arrays,
+    phase_steps,
     quantize_lightness,
 )
 from .errors import AncillaBudgetError, ConfigurationError
@@ -77,40 +79,48 @@ class RegionConstraint:
     def lightness_between(cls, lo: int, hi: int) -> "RegionConstraint":
         return cls(lightness=(lo, hi))
 
-    def matches(self, y: int, x: int, bits: int) -> bool:
+    def matches(self, y, x, bits):
+        """Whether pixel (y, x) with lightness code ``bits`` is selected; elementwise on arrays."""
+        selected = True
         for bounds, value in ((self.lightness, bits), (self.y_range, y), (self.x_range, x)):
-            if bounds is not None and not bounds[0] <= value <= bounds[1]:
-                return False
-        return True
+            if bounds is not None:
+                selected = selected & (bounds[0] <= value) & (value <= bounds[1])
+        return selected
+
+    def mask(self, img: QhslImage) -> np.ndarray:
+        """Boolean raster-order array of the image pixels the region selects."""
+        pos = np.arange(4 ** img.n)
+        return self.matches(pos >> img.n, pos & (img.side - 1), img.codes)
 
 
-def _map_selected(img: QhslImage, region: RegionConstraint | None, fn) -> QhslImage:
-    pixels = []
-    for y, x, chroma, code in img.enumerate_pixels():
-        if region is None or region.matches(y, x, code.bits):
-            pixels.append(fn(chroma, code))
-        else:
-            pixels.append((chroma, code))
-    return img.with_pixels(pixels)
+def _selection(img: QhslImage, region: RegionConstraint | None) -> np.ndarray:
+    return np.ones(4 ** img.n, dtype=bool) if region is None else region.mask(img)
+
+
+def _replace(img: QhslImage, theta=None, steps=None, codes=None) -> QhslImage:
+    return QhslImage.from_arrays(
+        img.n, img.q, img.theta if theta is None else theta,
+        img.phase_steps if steps is None else steps, img.codes if codes is None else codes,
+        img.mapping, img.table, img.table_source)
+
+
+def _rotate_phases(steps: np.ndarray, dphi: float, selected=True) -> np.ndarray:
+    # exact mod-2*pi addition on the phase grid, where selected
+    return np.where(selected, (steps + phase_steps(dphi)) % FULL_TURN_STEPS, steps)
 
 
 def hue_shift(img: QhslImage, dphi: float, region: RegionConstraint | None = None) -> QhslImage:
     """Rotate hue phases by dphi (mod 2*pi, exact on the phase grid)."""
-    return _map_selected(img, region,
-                         lambda chroma, code: (ChromaState(chroma.theta, add_phase(chroma.phi, dphi)), code))
+    return _replace(img, steps=_rotate_phases(img.phase_steps, dphi, _selection(img, region)))
 
 
-def _fold_theta(t: float) -> tuple[float, bool]:
+def _fold_theta(t) -> tuple[np.ndarray, np.ndarray]:
     # fold onto [0, pi]; each fold through a Bloch pole flips the phase by pi
-    t = math.fmod(t, 2.0 * math.pi)
-    flip = False
-    if t < 0.0:
-        t = -t
-        flip = not flip
-    if t > math.pi:
-        t = 2.0 * math.pi - t
-        flip = not flip
-    return t, flip
+    t = np.fmod(t, 2.0 * math.pi)
+    below = t < 0.0
+    t = np.where(below, -t, t)
+    above = t > math.pi
+    return np.where(above, 2.0 * math.pi - t, t), below ^ above
 
 
 def saturation_shift(img: QhslImage, dtheta: float,
@@ -121,39 +131,37 @@ def saturation_shift(img: QhslImage, dtheta: float,
     pi, which is what the corresponding qubit rotation does physically.
     Decoding clamps saturation to [0, 1] on the outer thirds.
     """
+    selected = _selection(img, region)
+    theta, flip = _fold_theta(img.theta + dtheta)
+    return _replace(img, theta=np.where(selected, theta, img.theta),
+                    steps=_rotate_phases(img.phase_steps, math.pi, selected & flip))
 
-    def shift(chroma: ChromaState, code):
-        theta, flip = _fold_theta(chroma.theta + dtheta)
-        phi = add_phase(chroma.phi, math.pi) if flip else chroma.phi
-        return ChromaState(theta, phi), code
 
-    return _map_selected(img, region, shift)
+def _check_shift(img: QhslImage, k: int) -> int:
+    top = 2 ** img.q - 1
+    if not 0 <= k <= top:
+        raise ValueError(f"k={k} outside 0..{top}")
+    return top
 
 
 def lightness_add(img: QhslImage, k: int, region: RegionConstraint | None = None) -> QhslImage:
     """Add k to lightness codes, saturating at the register maximum."""
-    top = 2 ** img.q - 1
-    if not 0 <= k <= top:
-        raise ValueError(f"k={k} outside 0..{top}")
-    return _map_selected(img, region,
-                         lambda chroma, code: (chroma, dataclasses.replace(code, bits=min(code.bits + k, top))))
+    top = _check_shift(img, k)
+    return _replace(img, codes=np.where(_selection(img, region),
+                                        np.minimum(img.codes + k, top), img.codes))
 
 
 def lightness_sub(img: QhslImage, k: int, region: RegionConstraint | None = None) -> QhslImage:
     """Subtract k from lightness codes, saturating at zero."""
-    top = 2 ** img.q - 1
-    if not 0 <= k <= top:
-        raise ValueError(f"k={k} outside 0..{top}")
-    return _map_selected(img, region,
-                         lambda chroma, code: (chroma, dataclasses.replace(code, bits=max(code.bits - k, 0))))
+    _check_shift(img, k)
+    return _replace(img, codes=np.where(_selection(img, region),
+                                        np.maximum(img.codes - k, 0), img.codes))
 
 
 def invert_color(img: QhslImage) -> QhslImage:
     """Complement every pixel: lightness code flipped, hue advanced by pi."""
-    top = 2 ** img.q - 1
-    return _map_selected(img, None,
-                         lambda chroma, code: (ChromaState(chroma.theta, add_phase(chroma.phi, math.pi)),
-                                               dataclasses.replace(code, bits=top - code.bits)))
+    return _replace(img, steps=_rotate_phases(img.phase_steps, math.pi),
+                    codes=2 ** img.q - 1 - img.codes)
 
 
 def leq_control_patterns(threshold: int, width: int) -> list[ControlPattern]:
@@ -235,14 +243,14 @@ def saturation_shift_circuit(img: QhslImage, dtheta: float,
     """
     layout = img.layout
     cq = layout.chroma_qubit
+    phis = img.phi
     instrs: list[Instruction] = []
-    for y, x, chroma, code in img.enumerate_pixels():
-        if region is not None and not region.matches(y, x, code.bits):
-            continue
-        pattern = layout.pixel_pattern(PixelAddress(y, x))
-        instrs.append(Instruction(Gate.rz(-chroma.phi), cq, pattern))
+    for pos in np.flatnonzero(_selection(img, region)).tolist():
+        pattern = layout.pixel_pattern(PixelAddress(pos >> img.n, pos & (img.side - 1)))
+        phi = float(phis[pos])
+        instrs.append(Instruction(Gate.rz(-phi), cq, pattern))
         instrs.append(Instruction(Gate.ry(dtheta), cq, pattern))
-        instrs.append(Instruction(Gate.rz(chroma.phi), cq, pattern))
+        instrs.append(Instruction(Gate.rz(phi), cq, pattern))
     return Circuit(layout.total_qubits, tuple(instrs))
 
 
@@ -404,9 +412,15 @@ def _check_coverage(img: QhslImage, pmap: PseudocolorMap) -> None:
 
 
 def _check_grayscale(img: QhslImage) -> None:
-    for y, x, chroma, _ in img.enumerate_pixels():
-        if decode_chroma(chroma).saturation != 0.0:
-            raise ValueError(f"pseudocolor needs a saturation-zero source; pixel ({y}, {x}) is colored")
+    colored = np.flatnonzero(decode_chroma_arrays(img.theta, img.phi)[1] != 0.0)
+    if colored.size:
+        y, x = divmod(int(colored[0]), img.side)
+        raise ValueError(f"pseudocolor needs a saturation-zero source; pixel ({y}, {x}) is colored")
+
+
+def _suffix_rotations(pmap: PseudocolorMap) -> list[float]:
+    deltas = interval_rotation_angles(pmap)
+    return [math.fsum(deltas[j:]) for j in range(len(deltas))]
 
 
 def pseudocolor(img: QhslImage, pmap: PseudocolorMap) -> QhslImage:
@@ -418,16 +432,13 @@ def pseudocolor(img: QhslImage, pmap: PseudocolorMap) -> QhslImage:
     """
     _check_coverage(img, pmap)
     _check_grayscale(img)
-    deltas = interval_rotation_angles(pmap)
-    suffixes = [math.fsum(deltas[j:]) for j in range(len(deltas))]
+    suffix_steps = np.array([phase_steps(s) for s in _suffix_rotations(pmap)], dtype=np.int64)
+    interval = np.searchsorted([hi for _, hi, _ in pmap.entries], img.codes)
     mid = quantize_lightness(0.5, img.q, img.mapping, img.table)
-
-    def recolor(chroma: ChromaState, code):
-        j = pmap.interval_index(code.bits)
-        return (ChromaState(SATURATION_HIGH, add_phase(chroma.phi, suffixes[j])),
-                dataclasses.replace(code, bits=mid.bits))
-
-    return _map_selected(img, None, recolor)
+    count = 4 ** img.n
+    return _replace(img, theta=np.full(count, SATURATION_HIGH),
+                    steps=(img.phase_steps + suffix_steps[interval]) % FULL_TURN_STEPS,
+                    codes=np.full(count, mid.bits))
 
 
 def pseudocolor_circuit(img: QhslImage, pmap: PseudocolorMap,
@@ -449,18 +460,17 @@ def pseudocolor_circuit(img: QhslImage, pmap: PseudocolorMap,
         raise ValueError(f"unknown selector {selector!r}")
     _check_coverage(img, pmap)
     _check_grayscale(img)
-    thetas = [chroma.theta for _, _, chroma, _ in img.enumerate_pixels()]
-    if max(thetas) - min(thetas) > 1e-12:
+    if img.theta.max() - img.theta.min() > 1e-12:
         raise ValueError("circuit pseudocolor needs one uniform theta over all pixels")
-    if any(chroma.phi != 0.0 for _, _, chroma, _ in img.enumerate_pixels()):
+    if img.phase_steps.any():
         raise ValueError("circuit pseudocolor needs zero hue phases on the source")
 
     layout = img.layout
     cq = layout.chroma_qubit
     offset = 2 * layout.n
     deltas = interval_rotation_angles(pmap)
-    suffixes = [math.fsum(deltas[j:]) for j in range(len(deltas))]
-    dsat = SATURATION_HIGH - thetas[0]
+    suffixes = _suffix_rotations(pmap)
+    dsat = SATURATION_HIGH - float(img.theta[0])
     mid = quantize_lightness(0.5, img.q, img.mapping, img.table)
 
     steps: list[Circuit] = []

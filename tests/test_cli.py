@@ -288,3 +288,28 @@ def test_corrupt_dump_is_data_error(tmp_path, capsys):
     bad.write_text("QHSL n=0 q=0 mapping=average\n0 0 99 0 0\n")
     assert main(["decode", str(bad), str(tmp_path / "o.ppm")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_encode_above_the_pixel_limit_exits_2_without_output(tmp_path, capsys):
+    src = green_ppm(tmp_path / "one.ppm", side=1)
+    out = tmp_path / "out.dump"
+    assert main(["encode", str(src), str(out), "--n", "12"]) == 2
+    assert "limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dump_header_above_the_pixel_limit_exits_2(tmp_path, capsys):
+    dump = tmp_path / "huge.dump"
+    dump.write_text("QHSL n=12 q=8 mapping=average\n0 0 1.0471975512 0 0\n", encoding="utf-8")
+    out = tmp_path / "huge.ppm"
+    assert main(["decode", str(dump), str(out)]) == 2
+    assert "line 1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decode_report_row_outside_grid_exits_2(tmp_path, capsys):
+    report = tmp_path / "bad.report"
+    report.write_text("# qhsl-report n=1 q=2 mode=exact shots=- seed=- branch=exact\n"
+                      "0 0 10 0.5 0.5 0\n5 0 10 0.5 0.5 0\n", encoding="utf-8")
+    assert main(["decode", str(report), str(tmp_path / "bad.ppm")]) == 2
+    assert "outside the 2x2 grid" in capsys.readouterr().err

@@ -252,3 +252,54 @@ def test_chroma_amplitudes():
     assert amp0 == pytest.approx(0.5, abs=1e-15)
     expected = (math.sqrt(3) / 2.0) * complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
     assert amp1 == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Manual quantization by binary search
+
+
+def linear_scan_code(table, fraction):
+    return min(range(len(table)), key=lambda i: (abs(table[i] - fraction), i))
+
+
+def test_manual_quantization_takes_lowest_index_among_equal_distances():
+    # 0.9 - 2**-60 rounds to 0.9, so every entry is at the same distance
+    assert quantize_lightness(0.9, 2, MANUAL, [0.0, 2 ** -60, 2 ** -59, 2 ** -58]).bits == 0
+    assert quantize_lightness(0.5, 2, MANUAL, [0.0, 0.5, 0.5, 1.0]).bits == 1
+    assert quantize_lightness(0.25, 2, MANUAL, [0.0, 0.5, 0.5, 1.0]).bits == 0
+    assert quantize_lightness(1.0, 2, MANUAL, [0.0, 0.1, 0.1, 0.1]).bits == 1
+
+
+def test_manual_quantization_matches_linear_scan(rng):
+    pool = [0.0, 1e-300, 2 ** -60, 2 ** -59, 0.25, 0.5, 0.5 + 2 ** -53, 0.75, 1.0 - 2 ** -53, 1.0]
+    for _ in range(40):
+        q = int(rng.integers(0, 5))
+        table = np.sort(rng.choice(pool + list(rng.random(4)), size=2 ** q)).tolist()
+        fractions = table + [0.0, 1.0, 0.9] + list(rng.random(8))
+        fractions += [0.5 * (a + b) for a, b in zip(table, table[1:])]
+        for f in fractions:
+            assert quantize_lightness(f, q, MANUAL, table).bits == linear_scan_code(table, f)
+
+
+def test_manual_encode_matches_per_pixel_quantization(rng):
+    from qhsl import image_from_rgb_array
+
+    q = 3
+    table = [0.0, 2 / 255, 2 / 255, 10 / 255, 0.3, 0.5, 0.5, 1.0]
+    rgb = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
+    rgb[0, :, :] = np.arange(8, dtype=np.uint8)[:, None]  # gray levels at the tie points
+    img = image_from_rgb_array(rgb, 3, q, MANUAL, table)
+    light = rgb_array_to_hsl(rgb)[..., 2].ravel()
+    assert img.codes.tolist() == [linear_scan_code(table, float(f)) for f in light]
+
+
+def test_decode_chroma_arrays_match_scalar_decode(rng):
+    from qhsl.color import decode_chroma_arrays
+
+    theta = np.concatenate([rng.uniform(0.0, math.pi, 200),
+                            [0.0, math.pi, math.pi / 3, 2 * math.pi / 3, 1e-13]])
+    phi = np.array([canonical_phase(p) for p in rng.uniform(0.0, TAU, theta.size)])
+    hue, sat, undefined = decode_chroma_arrays(theta, phi)
+    for i in range(theta.size):
+        want = decode_chroma(ChromaState(float(theta[i]), float(phi[i])))
+        assert (hue[i], sat[i], undefined[i]) == (want.hue, want.saturation, want.hue_undefined)

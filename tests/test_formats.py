@@ -572,3 +572,78 @@ def test_parse_report_errors():
         parse_report("# qhsl-report n=0 q=0 mode=exact shots=- seed=- branch=exact\n0 0 1.0\n")
     with pytest.raises(FormatError):
         parse_report("")
+
+
+# ---------------------------------------------------------------------------
+# Empty rasters, the pixel limit, report rendering
+
+
+@pytest.mark.parametrize("writer", [write_ppm, write_png])
+@pytest.mark.parametrize("shape", [(0, 4, 3), (3, 0, 3), (0, 0, 3)])
+def test_writers_refuse_empty_rasters(tmp_path, writer, shape):
+    path = tmp_path / "empty.raster"
+    with pytest.raises(ValueError):
+        writer(path, np.zeros(shape, dtype=np.uint8))
+    assert not path.exists()
+
+
+def test_image_grid_above_the_limit_is_refused():
+    from qhsl import QubitBudgetError
+    from qhsl.image import MAX_IMAGE_N
+
+    with pytest.raises(QubitBudgetError, match="limit"):
+        image_from_rgb_array(np.zeros((1, 1, 3), dtype=np.uint8), MAX_IMAGE_N + 1, 8)
+    with pytest.raises(QubitBudgetError, match="line 1: .*limit"):
+        parse_image(f"QHSL n={MAX_IMAGE_N + 1} q=8 mapping=average\n0 0 1 0 0\n")
+    # at the limit the header passes; the missing pixel lines are what fails
+    with pytest.raises(FormatError, match="dump has 0 pixel lines"):
+        parse_image(f"QHSL n={MAX_IMAGE_N} q=8 mapping=average\n")
+
+
+def test_parse_image_non_finite_phase_is_a_format_error():
+    for phi in ("inf", "-inf", "nan", "1e300"):
+        with pytest.raises(FormatError, match="line 2: "):
+            parse_image(f"QHSL n=0 q=1 mapping=average\n0 0 1.0 {phi} 0\n")
+
+
+def test_parse_image_bits_outside_register():
+    with pytest.raises(FormatError, match=r"line 3: bits 4 outside 0\.\.3"):
+        parse_image("QHSL n=0 q=2 mapping=average\n\n0 0 1.0 0 4\n")
+
+
+def test_report_rows_render_like_the_report(rng):
+    from qhsl.formats import report_rows_to_rgb_array, report_to_rgb_array
+
+    img = random_color_image(rng, 2, 5)
+    report = retrieve_image(img, "shots", shots=32, seed=4)
+    rows = parse_report(format_report(report))["rows"]
+    assert np.array_equal(report_rows_to_rgb_array(2, rows), report_to_rgb_array(report))
+    assert np.array_equal(report_rows_to_rgb_array(1, []), np.zeros((2, 2, 3), dtype=np.uint8))
+    with pytest.raises(FormatError, match=r"\(4, 0\) outside the 4x4 grid"):
+        report_rows_to_rgb_array(2, [(4, 0, 0.0, 0.0, 0.5, False)])
+
+
+@pytest.mark.parametrize("n, q", [(0, 0), (2, 3), (3, 8)])
+def test_encode_matches_per_pixel_codec(rng, n, q):
+    from qhsl import quantize_lightness
+    from qhsl.color import rgb_array_to_hsl
+
+    rgb = rng.integers(0, 256, size=(2 ** n, 2 ** n, 3), dtype=np.uint8)
+    rgb[0, 0] = (255, 0, 0)  # hue 0 and full saturation
+    pixels = [(encode_chroma(HslColor(*(float(v) for v in hsl))),
+               quantize_lightness(float(hsl[2]), q))
+              for hsl in rgb_array_to_hsl(rgb).reshape(-1, 3)]
+    assert image_from_rgb_array(rgb, n, q) == QhslImage(n, q, pixels)
+
+
+def test_undefined_hue_renders_grey_in_images_and_reports():
+    from qhsl.color import hsl_array_to_rgb
+    from qhsl.formats import report_rows_to_rgb_array
+
+    # theta = pi is the south pole: saturation 1 but no hue, so it renders grey
+    img = QhslImage(0, 2, ((ChromaState(math.pi, 1.0), LightnessCode(2, 1)),))
+    grey = hsl_array_to_rgb(np.array([[[0.0, 0.0, 1 / 3]]]))
+    assert np.array_equal(image_to_rgb_array(img), grey)
+    rows = [(0, 0, 120.0, 0.7, 1 / 3, True)]
+    assert np.array_equal(report_rows_to_rgb_array(0, rows), grey)
+    assert not np.array_equal(report_rows_to_rgb_array(0, [rows[0][:5] + (False,)]), grey)

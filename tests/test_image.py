@@ -192,3 +192,79 @@ def test_preparation_circuit_matches_joined_assembly(rng):
             joined = joined + pixel_setter_circuit(img.layout, PixelAddress(y, x),
                                                    chroma.phi, chroma.theta, code.bits)
         assert preparation_circuit(img) == joined
+
+
+# ---------------------------------------------------------------------------
+# Array storage
+
+
+def test_image_arrays_match_pixels(rng):
+    from qhsl import PHASE_STEP
+
+    img = random_image(rng, 2, 3)
+    assert (img.theta.dtype, img.phase_steps.dtype, img.codes.dtype) == \
+        (np.float64, np.int64, np.int64)
+    for i, (y, x, chroma, code) in enumerate(img.enumerate_pixels()):
+        assert i == y * img.side + x
+        assert img.theta[i] == chroma.theta
+        assert img.phase_steps[i] * PHASE_STEP == chroma.phi == img.phi[i]
+        assert img.codes[i] == code.bits
+    assert QhslImage(img.n, img.q, img.pixels) == img
+    assert QhslImage.from_arrays(img.n, img.q, img.theta, img.phase_steps, img.codes) == img
+    for array in (img.theta, img.phase_steps, img.codes):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_image_equality_sees_every_array_and_the_mapping(rng):
+    img = random_image(rng, 1, 2)
+    arrays = dict(theta=img.theta, phase_steps=img.phase_steps, codes=img.codes)
+    for name in arrays:
+        changed = dict(arrays)
+        changed[name] = arrays[name].copy()
+        changed[name][3] = (changed[name][3] + 1) % 2
+        assert QhslImage.from_arrays(1, 2, **changed) != img
+    manual = QhslImage.from_arrays(1, 2, **arrays, mapping="manual", table=(0.0, 0.2, 0.4, 1.0))
+    assert manual != img
+    assert QhslImage.from_arrays(1, 2, **arrays, mapping="manual", table=(0.0, 0.2, 0.4, 1.0),
+                                 table_source="t.txt") != manual
+
+
+def test_from_arrays_validation():
+    from qhsl import ConfigurationError
+    from qhsl.color import FULL_TURN_STEPS
+
+    ok = dict(theta=[1.0], phase_steps=[5], codes=[1])
+    QhslImage.from_arrays(0, 1, **ok)
+    bad = [dict(theta=[3.5]), dict(theta=[-0.1]), dict(phase_steps=[-1]),
+           dict(phase_steps=[FULL_TURN_STEPS]), dict(codes=[2]), dict(codes=[-1]),
+           dict(theta=[1.0, 1.0])]
+    for change in bad:
+        with pytest.raises(ValueError):
+            QhslImage.from_arrays(0, 1, **{**ok, **change})
+    with pytest.raises(ValueError):
+        QhslImage.from_arrays(-1, 1, **ok)
+    with pytest.raises(ValueError):
+        QhslImage.from_arrays(0, 1, **ok, mapping="nearest")
+    with pytest.raises(ValueError):
+        QhslImage.from_arrays(0, 1, **ok, table=(0.0, 1.0))  # a table needs the manual mapping
+    with pytest.raises(ConfigurationError):
+        QhslImage.from_arrays(0, 1, **ok, mapping="manual", table=(0.5, 0.2))
+
+
+def test_constructor_error_messages():
+    chroma = ChromaState(math.pi / 2, 0.0)
+    with pytest.raises(TypeError, match="ChromaState"):
+        QhslImage(0, 2, (((math.pi / 2, 0.0), LightnessCode(2, 1)),))
+    with pytest.raises(ValueError, match="width 3 differs from image q=2"):
+        QhslImage(0, 2, ((chroma, LightnessCode(3, 1)),))
+    with pytest.raises(ValueError, match="share one lightness mapping"):
+        QhslImage(1, 2, ((chroma, LightnessCode(2, 1)),) * 3
+                  + ((chroma, LightnessCode(2, 1, "manual", (0.0, 0.1, 0.2, 1.0))),))
+
+
+def test_equal_images_hash_alike(rng):
+    img = random_image(rng, 1, 2)
+    again = QhslImage.from_arrays(1, 2, img.theta, img.phase_steps, img.codes)
+    assert again is not img and hash(again) == hash(img)
+    assert len({img, again}) == 1

@@ -260,3 +260,21 @@ def test_circuit_matches_joined_assembly(selector):
                  PseudocolorMap(((0, 3, 0.0), (4, 8, 60.0), (9, 12, 240.0), (13, 15, 120.0)))):
         assert pseudocolor_circuit(img, pmap, selector=selector) == \
             pseudocolor_by_joins(img, pmap, selector)
+
+
+def test_pixel_form_matches_per_pixel_reference():
+    import dataclasses
+    from qhsl import SATURATION_HIGH, add_phase
+
+    for img in (gray_ramp_image(2, 4), gray_ramp_image(1, 2)):
+        top = 2 ** img.q - 1
+        pmap = PseudocolorMap(((0, top // 3, 350.0), (top // 3 + 1, top - 1, 12.5),
+                               (top, top, 180.0)))
+        deltas = interval_rotation_angles(pmap)
+        mid = quantize_lightness(0.5, img.q, img.mapping, img.table)
+        pixels = []
+        for _, _, chroma, code in img.enumerate_pixels():
+            j = pmap.interval_index(code.bits)
+            phi = add_phase(chroma.phi, math.fsum(deltas[j:]))
+            pixels.append((ChromaState(SATURATION_HIGH, phi), dataclasses.replace(code, bits=mid.bits)))
+        assert pseudocolor(img, pmap) == QhslImage(img.n, img.q, pixels)

@@ -342,3 +342,106 @@ def test_dense_readout_rejects_empty_branch(rng):
     with pytest.raises(InconsistentStatisticsError, match=r"pixel \(1, 0\) branch has no probability"):
         measure_lightness(state, 1, 0, img.layout)
     assert measure_lightness(state, 1, 1, img.layout) == img.code(1, 1).bits
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_vectorized_binomial_matches_scalar_draws(seed):
+    # the rejection branch draws every pixel's counts in one call; this pins
+    # that the call takes the same values and leaves the generator where
+    # one draw per pixel would
+    probe = np.random.default_rng(1000 + seed)
+    trials = probe.integers(0, 3000, size=4096)
+    p0 = probe.random(4096)
+    p0[::7], p0[::11] = 0.0, 1.0
+    batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = batched.binomial(trials, p0)
+    assert draws.tolist() == [int(looped.binomial(int(m), float(p))) for m, p in zip(trials, p0)]
+    assert batched.random() == looped.random()
+
+
+def test_structured_reports_match_per_pixel_measurement(rng):
+    img = random_color_image(rng, 2, 4)
+    exact = retrieve_image(img)
+    oracle = retrieve_image(img, "shots", shots=64, seed=9, branch="oracle")
+    streams = np.random.SeedSequence(9).spawn(16)
+    for (y, x, chroma, code), stream in zip(img.enumerate_pixels(), streams):
+        want = measure_chroma(chroma)
+        assert exact.pixel(y, x).theta == estimate_theta(want)
+        assert exact.pixel(y, x).code == code.bits == measure_lightness(img, y, x)
+        sampled = measure_chroma(chroma, "shots", shots=64, rng=np.random.default_rng(stream))
+        assert (oracle.pixel(y, x).theta, oracle.pixel(y, x).phi) == \
+            (estimate_theta(sampled), estimate_phi(sampled)[0])
+
+
+def test_rejection_reports_the_first_starved_pixel():
+    img = random_image(np.random.default_rng(3), 3, 2)
+    allocation = np.random.default_rng(11).multinomial(64, np.full(64, 1 / 64))
+    first = np.flatnonzero(allocation == 0)[0]
+    with pytest.raises(InconsistentStatisticsError, match=rf"^pixel {first} received no samples"):
+        retrieve_image(img, "shots", shots=1, seed=11)
+
+
+def test_dense_statistics_report_the_first_empty_branch():
+    from qhsl import RegisterLayout
+
+    layout = RegisterLayout(1, 0)
+    state = StateVector.from_basis(3, 0)  # only the branch at position 0 is populated
+    with pytest.raises(InconsistentStatisticsError, match=r"^pixel branch 1 has no probability"):
+        retrieve_image(state, layout=layout)
+    with pytest.raises(InconsistentStatisticsError,
+                       match=r"^pixel branch 1 received no samples; increase the shot budget"):
+        retrieve_image(state, "shots", shots=10, seed=0, layout=layout)
+
+
+def rejection_by_pixels(img, shots, seed):
+    """The rejection branch drawn one pixel at a time, as the reference."""
+    from qhsl.retrieval import _chroma_expectations
+
+    count = 4 ** img.n
+    expectations = [_chroma_expectations(*chroma.amplitudes())
+                    for _, _, chroma, _ in img.enumerate_pixels()]
+    rng = np.random.default_rng(seed)
+    samples = [[] for _ in range(count)]
+    for axis in range(3):
+        allocation = rng.multinomial(shots * count, np.full(count, 1.0 / count))
+        for i in range(count):
+            m = int(allocation[i])
+            p0 = min(max(0.5 * (1.0 + expectations[i][axis]), 0.0), 1.0)
+            samples[i].append((int(rng.binomial(m, p0)), m))
+    return [ChromaStatistics(*((2 * n0 - m) / m for n0, m in s),
+                             shots_per_basis=min(m for _, m in s))
+            for s in samples]
+
+
+def dense_by_pixels(state, layout, mode, shots, seed):
+    """Dense statistics read one pixel branch at a time, as the reference."""
+    from qhsl import joint_probabilities
+
+    npos = 4 ** layout.n
+    qubits = list(layout.position_qubits) + [layout.chroma_qubit]
+    joints = [joint_probabilities(
+        state if g is None else apply_gate(state, g, layout.chroma_qubit), qubits)
+        for g in (None, Gate.u1(), Gate.u2())]
+    rng = np.random.default_rng(seed)
+    if mode == "shots":
+        joints = [rng.multinomial(shots * npos, j / j.sum()) for j in joints]
+    stats = []
+    for pos in range(npos):
+        pairs = [(j[pos], j[pos + npos]) for j in joints]
+        values = [(float(a) - float(b)) / (float(a) + float(b)) if mode == "exact"
+                  else (int(a) - int(b)) / (int(a) + int(b)) for a, b in pairs]
+        budget = min(int(a) + int(b) for a, b in pairs) if mode == "shots" else None
+        stats.append(ChromaStatistics(*values, shots_per_basis=budget))
+    return stats
+
+
+def test_batched_statistics_match_per_pixel_reference(rng):
+    from qhsl.retrieval import _dense_statistics, _structured_statistics
+
+    img = random_color_image(rng, 2, 3)
+    assert _structured_statistics(img, "shots", 40, 5, "rejection") == \
+        rejection_by_pixels(img, 40, 5)
+    state = simulate_preparation(img)
+    for mode, shots in (("exact", None), ("shots", 30)):
+        assert _dense_statistics(state, img.layout, mode, shots, 8) == \
+            dense_by_pixels(state, img.layout, mode, shots, 8)

@@ -479,3 +479,65 @@ def test_comparator_region_matches_joined_assembly(region, rng):
     body = saturation_shift_circuit(img, 0.3)
     assert comparator_region_circuit(img.layout, region, body) == \
         comparator_region_by_joins(img.layout, region, body)
+
+
+# ---------------------------------------------------------------------------
+# Masked array forms against a per-pixel reference
+
+
+def by_pixels(img, region, fn):
+    """Apply ``fn(chroma, code) -> (chroma, code)`` pixel by pixel where selected."""
+    pixels = [fn(chroma, code) if region is None or region.matches(y, x, code.bits)
+              else (chroma, code)
+              for y, x, chroma, code in img.enumerate_pixels()]
+    return QhslImage(img.n, img.q, pixels, img.table_source)
+
+
+def fold_by_pixel(chroma, dtheta):
+    from qhsl import add_phase
+
+    t = math.fmod(chroma.theta + dtheta, TAU)
+    flip = t < 0.0
+    t = -t if flip else t
+    if t > math.pi:
+        t, flip = TAU - t, not flip
+    return ChromaState(t, add_phase(chroma.phi, math.pi) if flip else chroma.phi)
+
+
+REGIONS = [None, RegionConstraint(lightness=(3, 11)), RegionConstraint(y_range=(1, 2)),
+           RegionConstraint(lightness=(0, 7), y_range=(0, 2), x_range=(1, 3))]
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_pixel_forms_match_per_pixel_reference(rng, region):
+    import dataclasses
+    from qhsl import add_phase
+
+    img = random_image(rng, 2, 4)
+    top = 15
+    cases = [
+        (hue_shift(img, 2.5, region),
+         lambda c, l: (ChromaState(c.theta, add_phase(c.phi, 2.5)), l)),
+        (hue_shift(img, -40.0, region),
+         lambda c, l: (ChromaState(c.theta, add_phase(c.phi, -40.0)), l)),
+        (saturation_shift(img, 1.3, region), lambda c, l: (fold_by_pixel(c, 1.3), l)),
+        (saturation_shift(img, -2.9, region), lambda c, l: (fold_by_pixel(c, -2.9), l)),
+        (saturation_shift(img, 7.5, region), lambda c, l: (fold_by_pixel(c, 7.5), l)),
+        (lightness_add(img, 6, region),
+         lambda c, l: (c, dataclasses.replace(l, bits=min(l.bits + 6, top)))),
+        (lightness_sub(img, 6, region),
+         lambda c, l: (c, dataclasses.replace(l, bits=max(l.bits - 6, 0)))),
+    ]
+    for got, fn in cases:
+        assert got == by_pixels(img, region, fn)
+    if region is None:
+        assert invert_color(img) == by_pixels(img, None, lambda c, l: (
+            ChromaState(c.theta, add_phase(c.phi, math.pi)),
+            dataclasses.replace(l, bits=top - l.bits)))
+
+
+def test_region_mask_matches_per_pixel_matches(rng):
+    img = random_image(rng, 2, 4)
+    for region in REGIONS[1:]:
+        want = [bool(region.matches(y, x, code.bits)) for y, x, _, code in img.enumerate_pixels()]
+        assert region.mask(img).tolist() == want
