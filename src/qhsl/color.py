@@ -50,6 +50,12 @@ def canonical_phase(phi: float) -> float:
     return phase_steps(phi) * PHASE_STEP
 
 
+def phase_steps_array(phi) -> np.ndarray:
+    """phase_steps elementwise (int64)."""
+    steps = np.rint(np.asarray(phi, dtype=np.float64) / PHASE_STEP).astype(np.int64)
+    return steps % FULL_TURN_STEPS
+
+
 def add_phase(phi: float, delta: float) -> float:
     """Exact mod-2*pi sum of two angles, result on the phase grid."""
     return ((phase_steps(phi) + phase_steps(delta)) % FULL_TURN_STEPS) * PHASE_STEP

@@ -26,14 +26,13 @@ import numpy as np
 
 from .color import (
     AVERAGE,
-    FULL_TURN_STEPS,
     MANUAL,
-    PHASE_STEP,
     canonical_phase,
     decode_chroma_arrays,
     hsl_array_to_rgb,
     lightness_fractions,
     phase_steps,
+    phase_steps_array,
     quantize_codes,
     rgb_array_to_hsl,
     validate_table,
@@ -314,8 +313,8 @@ def image_from_rgb_array(rgb: np.ndarray, n: int, q: int, mapping: str = AVERAGE
     padded = np.zeros((side, side, 3), dtype=np.uint8)
     padded[:height, :width] = rgb
     hue, sat, light = rgb_array_to_hsl(padded).reshape(-1, 3).T
-    steps = np.rint(np.radians(hue) / PHASE_STEP).astype(np.int64) % FULL_TURN_STEPS
-    return QhslImage.from_arrays(n, q, (1.0 + sat) * (math.pi / 3.0), steps,
+    return QhslImage.from_arrays(n, q, (1.0 + sat) * (math.pi / 3.0),
+                                 phase_steps_array(np.radians(hue)),
                                  quantize_codes(light, q, mapping, table), mapping, table,
                                  table_source)
 
@@ -326,11 +325,16 @@ def image_to_rgb_array(img: QhslImage) -> np.ndarray:
     Pixels whose hue is indeterminate (chroma at a Bloch pole) render as
     the saturation-zero grey of their lightness.
     """
-    pos = np.arange(4 ** img.n)
     hue, sat, undefined = decode_chroma_arrays(img.theta, img.phi)
     light = lightness_fractions(img.codes, img.q, img.mapping, img.table)
+    return _raster_columns_to_rgb_array(img.n, hue, sat, light, undefined)
+
+
+def _raster_columns_to_rgb_array(n: int, hue, saturation, lightness, undefined) -> np.ndarray:
+    """report_rows_to_rgb_array for raster-order columns covering the whole grid."""
+    pos = np.arange(4 ** n)
     return report_rows_to_rgb_array(
-        img.n, np.column_stack([pos >> img.n, pos & (img.side - 1), hue, sat, light, undefined]))
+        n, np.column_stack([pos >> n, pos & (2 ** n - 1), hue, saturation, lightness, undefined]))
 
 
 def report_rows_to_rgb_array(n: int, rows) -> np.ndarray:
@@ -353,9 +357,8 @@ def report_rows_to_rgb_array(n: int, rows) -> np.ndarray:
 
 
 def report_to_rgb_array(report: RetrievalReport) -> np.ndarray:
-    return report_rows_to_rgb_array(report.n, [
-        (px.y, px.x, px.hue, px.saturation, px.lightness, px.hue_undefined)
-        for px in report.pixels])
+    return _raster_columns_to_rgb_array(report.n, report.hue, report.saturation,
+                                        report.lightness, report.hue_undefined)
 
 
 def save_image(path, source) -> None:
@@ -625,9 +628,11 @@ def format_report(report: RetrievalReport) -> str:
     seed = "-" if report.seed is None else str(report.seed)
     lines = [f"# qhsl-report n={report.n} q={report.q} mode={report.mode} "
              f"shots={shots} seed={seed} branch={report.branch}"]
-    for px in report.pixels:
-        lines.append(f"{px.y} {px.x} {'%.12g' % px.hue} {'%.12g' % px.saturation} "
-                     f"{'%.12g' % px.lightness} {int(px.hue_undefined)}")
+    pos = np.arange(4 ** report.n)
+    rows = zip((pos >> report.n).tolist(), (pos & (2 ** report.n - 1)).tolist(),
+               report.hue.tolist(), report.saturation.tolist(), report.lightness.tolist(),
+               report.hue_undefined.tolist())
+    lines += map("%d %d %.12g %.12g %.12g %d".__mod__, rows)
     return "\n".join(lines) + "\n"
 
 

@@ -29,7 +29,7 @@ from .color import (
     bloch_amplitudes,
     phase_steps,
 )
-from .errors import QubitBudgetError
+from .errors import FormatError, QubitBudgetError
 from .sim import Circuit, ControlPattern, Gate, Instruction, StateVector, run_circuit
 
 DENSE_QUBIT_BUDGET = 26
@@ -38,7 +38,10 @@ MAX_IMAGE_N = 11
 
 
 def check_image_size(n: int, context: str = "") -> None:
-    """Refuse grids above MAX_IMAGE_N before any per-pixel allocation."""
+    """Refuse negative grid exponents, and grids above MAX_IMAGE_N before any
+    per-pixel allocation."""
+    if n < 0:
+        raise FormatError(f"{context}grid exponent n={n} must be non-negative")
     if n > MAX_IMAGE_N:
         raise QubitBudgetError(
             f"{context}a 2**{n} x 2**{n} image exceeds the limit of n={MAX_IMAGE_N} "

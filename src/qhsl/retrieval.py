@@ -24,10 +24,11 @@ import numpy as np
 
 from .color import (
     AVERAGE,
+    PHASE_STEP,
     ChromaState,
-    canonical_phase,
     decode_chroma_arrays,
     lightness_fractions,
+    phase_steps_array,
 )
 from .errors import InconsistentStatisticsError, NonBasisLightnessError
 from .image import QhslImage, RegisterLayout, structured_state
@@ -53,12 +54,8 @@ class ChromaStatistics:
     def __post_init__(self) -> None:
         if self.shots_per_basis is not None and self.shots_per_basis < 1:
             raise ValueError("shots_per_basis must be positive")
-        slack = 3.0 * self.sigma + 1e-12
-        for name in ("k", "v", "w"):
-            val = getattr(self, name)
-            if not math.isfinite(val) or abs(val) > 1.0 + slack:
-                raise InconsistentStatisticsError(
-                    f"statistic {name}={val!r} outside [-1, 1] beyond sampling slack")
+        _check_statistics(np.array([[self.k], [self.v], [self.w]], dtype=np.float64),
+                          np.array([self.sigma]))
 
     @property
     def is_exact(self) -> bool:
@@ -70,6 +67,22 @@ class ChromaStatistics:
         if self.shots_per_basis is None:
             return 0.0
         return 1.0 / math.sqrt(self.shots_per_basis)
+
+
+def _check_statistics(kvw: np.ndarray, sigma: np.ndarray) -> None:
+    """Refuse statistics outside [-1, 1] by more than 3 sigma of sampling slack.
+
+    ``kvw`` is a (3, pixels) array of k, v, w and ``sigma`` the per-pixel
+    standard deviation (0 for exact statistics).  The first offending
+    pixel in raster order raises, checking k, then v, then w.
+    """
+    bad = ~np.isfinite(kvw) | (np.abs(kvw) > 1.0 + (3.0 * sigma + 1e-12))
+    if bad.any():
+        pixel = np.flatnonzero(bad.any(axis=0))[0]
+        axis = np.flatnonzero(bad[:, pixel])[0]
+        raise InconsistentStatisticsError(
+            f"statistic {'kvw'[axis]}={float(kvw[axis, pixel])!r} "
+            "outside [-1, 1] beyond sampling slack")
 
 
 def _chroma_expectations(a0: complex, a1: complex) -> tuple[float, float, float]:
@@ -122,11 +135,11 @@ def _estimates(zeros: np.ndarray, trials) -> np.ndarray:
 
 
 def estimate_theta(stats: ChromaStatistics) -> float:
-    """arccos of the direct-basis expectation, clamped within sampling slack."""
-    slack = 3.0 * stats.sigma + 1e-12
-    if abs(stats.k) > 1.0 + slack:
-        raise InconsistentStatisticsError(f"K={stats.k!r} outside [-1, 1] beyond 3 sigma")
-    return math.acos(min(1.0, max(-1.0, stats.k)))
+    """arccos of the direct-basis expectation, clamped to [-1, 1].
+
+    The statistics were range-checked, within sampling slack, when built.
+    """
+    return float(_theta_estimates(np.array([stats.k], dtype=np.float64))[0])
 
 
 def estimate_phi(stats: ChromaStatistics) -> tuple[float, bool]:
@@ -139,14 +152,32 @@ def estimate_phi(stats: ChromaStatistics) -> tuple[float, bool]:
     below the exact floor (or the sampling noise floor at 3 sigma) the
     result is (0.0, True).
     """
-    radius = math.hypot(stats.v, stats.w)
-    floor = EXACT_HUE_FLOOR if stats.is_exact else 3.0 * math.sqrt(2.0) * stats.sigma
-    if radius <= floor:
-        return 0.0, True
-    phi = math.atan2(stats.w, stats.v)
-    if phi < 0.0:
-        phi += 2.0 * math.pi
-    return phi, False
+    phi, undefined, _ = _phi_estimates(
+        np.array([stats.v], dtype=np.float64), np.array([stats.w], dtype=np.float64),
+        None if stats.is_exact else np.array([stats.sigma]))
+    return float(phi[0]), bool(undefined[0])
+
+
+# arccos, arctan2 and hypot stay per element through ``math``: numpy's
+# versions can differ from it in the last bit, which would move report bytes.
+
+def _theta_estimates(k: np.ndarray) -> np.ndarray:
+    """estimate_theta elementwise."""
+    return np.array([math.acos(c) for c in np.clip(k, -1.0, 1.0).tolist()])
+
+
+def _phi_estimates(v: np.ndarray, w: np.ndarray,
+                   sigma: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """estimate_phi elementwise, plus the Bloch radius hypot(v, w).
+
+    ``sigma`` is None for exact statistics, which use the exact hue floor.
+    """
+    v, w = v.tolist(), w.tolist()
+    radius = np.array([math.hypot(a, b) for a, b in zip(v, w)])
+    phi = np.array([math.atan2(b, a) for a, b in zip(v, w)])
+    undefined = radius <= (EXACT_HUE_FLOOR if sigma is None else 3.0 * math.sqrt(2.0) * sigma)
+    phi = np.where(undefined, 0.0, np.where(phi < 0.0, phi + 2.0 * math.pi, phi))
+    return phi, undefined, radius
 
 
 def measure_lightness(source, y: int, x: int, layout: RegisterLayout | None = None) -> int:
@@ -202,59 +233,109 @@ class RetrievedPixel:
     phi_3sigma: float = 0.0
 
 
-@dataclass(frozen=True)
-class RetrievalReport:
-    """Per-pixel color estimates plus the sampling configuration."""
+# report columns, in RetrievedPixel field order after y and x
+_COLUMNS = {"theta": np.float64, "phi": np.float64, "hue": np.float64,
+            "saturation": np.float64, "codes": np.int64, "lightness": np.float64,
+            "hue_undefined": np.bool_, "theta_3sigma": np.float64, "phi_3sigma": np.float64}
 
-    n: int
-    q: int
-    mode: str
-    shots_per_basis: int | None
-    seed: int | None
-    branch: str
-    pixels: tuple[RetrievedPixel, ...]
+
+class RetrievalReport:
+    """Per-pixel color estimates plus the sampling configuration.
+
+    Estimates are stored in raster order (row y=0 first) as read-only
+    columns: ``theta``, ``phi``, ``hue``, ``saturation``, ``lightness``,
+    ``theta_3sigma``, ``phi_3sigma`` (float64), ``codes`` (int64) and
+    ``hue_undefined`` (bool).  ``pixels`` and ``pixel`` build RetrievedPixel
+    objects on demand.  The constructor takes every pixel in raster order.
+    """
+
+    def __init__(self, n: int, q: int, mode: str, shots_per_basis: int | None,
+                 seed: int | None, branch: str, pixels):
+        pixels = tuple(pixels)
+        side = 2 ** n
+        if [(px.y, px.x) for px in pixels] != [divmod(i, side) for i in range(4 ** n)]:
+            raise ValueError(
+                f"expected the {4 ** n} pixels of a {side}x{side} grid in raster order")
+        columns = zip(*((px.theta, px.phi, px.hue, px.saturation, px.code, px.lightness,
+                         px.hue_undefined, px.theta_3sigma, px.phi_3sigma) for px in pixels))
+        self._set(n, q, mode, shots_per_basis, seed, branch, dict(zip(_COLUMNS, columns)))
+
+    @classmethod
+    def from_arrays(cls, n: int, q: int, mode: str, shots_per_basis: int | None,
+                    seed: int | None, branch: str, **columns) -> "RetrievalReport":
+        """Build a report from raster-order columns (copied; see the class docstring)."""
+        report = cls.__new__(cls)
+        report._set(n, q, mode, shots_per_basis, seed, branch, columns)
+        return report
+
+    def _set(self, n, q, mode, shots_per_basis, seed, branch, columns) -> None:
+        self.n, self.q, self.mode = n, q, mode
+        self.shots_per_basis, self.seed, self.branch = shots_per_basis, seed, branch
+        if columns.keys() != _COLUMNS.keys():
+            raise TypeError(f"report columns are {', '.join(_COLUMNS)}")
+        for name, dtype in _COLUMNS.items():
+            array = np.array(columns[name], dtype=dtype)
+            if array.shape != (4 ** n,):
+                raise ValueError(f"report column {name} needs {4 ** n} entries")
+            array.flags.writeable = False
+            setattr(self, name, array)
+
+    def _metadata(self) -> tuple:
+        return (self.n, self.q, self.mode, self.shots_per_basis, self.seed, self.branch)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, RetrievalReport) and self._metadata() == other._metadata()
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in _COLUMNS))
+
+    def __hash__(self) -> int:
+        return hash(self._metadata())
+
+    @property
+    def pixels(self) -> tuple[RetrievedPixel, ...]:
+        side = 2 ** self.n
+        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        return tuple(RetrievedPixel(i // side, i % side, *row) for i, row in enumerate(rows))
 
     def pixel(self, y: int, x: int) -> RetrievedPixel:
-        return self.pixels[y * 2 ** self.n + x]
+        side = 2 ** self.n
+        if not (0 <= y < side and 0 <= x < side):
+            raise ValueError(f"pixel ({y}, {x}) outside a {side}x{side} report")
+        return RetrievedPixel(y, x, *(getattr(self, name)[y * side + x].item()
+                                      for name in _COLUMNS))
 
 
-def _finish_pixels(layout: RegisterLayout, stats: Sequence[ChromaStatistics], codes: np.ndarray,
-                   mapping: str, table) -> tuple[RetrievedPixel, ...]:
-    thetas = [estimate_theta(s) for s in stats]
-    phis, undefined = zip(*map(estimate_phi, stats))
-    hue, saturation, _ = decode_chroma_arrays(thetas, [canonical_phase(p) for p in phis])
-    lightness = lightness_fractions(codes, layout.q, mapping, table)
-    return tuple(
-        RetrievedPixel(y=pos >> layout.n, x=pos & (layout.side - 1), theta=t, phi=p,
-                       hue=0.0 if u else h, saturation=sat, code=code, lightness=light,
-                       hue_undefined=u,
-                       theta_3sigma=3.0 * s.sigma / max(math.sin(t), EXACT_HUE_FLOOR),
-                       phi_3sigma=6.0 * s.sigma / max(math.hypot(s.v, s.w), EXACT_HUE_FLOOR))
-        for pos, (s, t, p, u, h, sat, code, light) in enumerate(zip(
-            stats, thetas, phis, undefined, hue.tolist(), saturation.tolist(), codes.tolist(),
-            lightness.tolist())))
+def _chroma_columns(kvw: np.ndarray, budgets: np.ndarray | None) -> dict[str, np.ndarray]:
+    """Chroma report columns from a (3, pixels) k/v/w array and per-pixel shot budgets.
 
-
-def _statistics(kvw: np.ndarray, budgets: np.ndarray | None = None) -> list[ChromaStatistics]:
-    """One ChromaStatistics per column of a (3, pixels) array of k, v, w."""
-    budgets = [None] * kvw.shape[1] if budgets is None else budgets.tolist()
-    return [ChromaStatistics(k, v, w, shots_per_basis=m)
-            for (k, v, w), m in zip(kvw.T.tolist(), budgets)]
+    ``budgets`` is None for exact statistics.
+    """
+    sigma = np.zeros(kvw.shape[1]) if budgets is None else 1.0 / np.sqrt(budgets)
+    _check_statistics(kvw, sigma)
+    theta = _theta_estimates(kvw[0])
+    phi, undefined, radius = _phi_estimates(kvw[1], kvw[2], None if budgets is None else sigma)
+    hue, saturation, _ = decode_chroma_arrays(theta, phase_steps_array(phi) * PHASE_STEP)
+    # phi is 0 where the hue is undefined, so hue is 0 there too
+    return {"theta": theta, "phi": phi, "hue": hue, "saturation": saturation,
+            "hue_undefined": undefined,
+            "theta_3sigma": 3.0 * sigma / np.maximum(np.sin(theta), EXACT_HUE_FLOOR),
+            "phi_3sigma": 6.0 * sigma / np.maximum(radius, EXACT_HUE_FLOOR)}
 
 
 def _structured_statistics(img: QhslImage, mode: str, shots, seed, branch):
+    """(3, pixels) k/v/w array and per-pixel shot budgets (None when exact)."""
     kvw = np.array([_chroma_expectations(a0, a1)
                     for a0, a1 in structured_state(img).all_chroma_amplitudes()]).T
     pixel_count = kvw.shape[1]
     if mode == "exact":
-        return _statistics(kvw)
+        return kvw, None
     if branch == "oracle":
         # independent per-pixel streams split off the master seed
         # (three scalar draws cost less than one call over a 3-element array)
         streams = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(pixel_count))
         zeros = [[rng.binomial(shots, p0) for p0 in row]
                  for rng, row in zip(streams, _zero_probability(kvw).T.tolist())]
-        return _statistics(_estimates(np.array(zeros).T, shots), np.full(pixel_count, shots))
+        return _estimates(np.array(zeros).T, shots), np.full(pixel_count, shots)
     # rejection: full-register sampling lands on a uniformly random pixel,
     # so per-basis pixel allocations are multinomial over shots * pixels draws
     rng = np.random.default_rng(seed)
@@ -268,11 +349,12 @@ def _structured_statistics(img: QhslImage, mode: str, shots, seed, branch):
                 f"pixel {starved[0]} received no samples; increase the shot budget")
         estimates.append(_estimates(rng.binomial(allocation, p0), allocation))
         allocations.append(allocation)
-    return _statistics(np.array(estimates), np.min(allocations, axis=0))
+    return np.array(estimates), np.min(allocations, axis=0)
 
 
 def _dense_statistics(state: StateVector, layout: RegisterLayout, mode: str,
                       shots, seed):
+    """_structured_statistics for a dense state: one joint distribution per basis."""
     npos = 4 ** layout.n
     qubits = list(layout.position_qubits) + [layout.chroma_qubit]
     joints = np.array([
@@ -289,7 +371,7 @@ def _dense_statistics(state: StateVector, layout: RegisterLayout, mode: str,
         raise InconsistentStatisticsError(
             f"pixel branch {empty[0]} has no probability" if mode == "exact" else
             f"pixel branch {empty[0]} received no samples; increase the shot budget")
-    return _statistics((zero - one) / totals, totals.min(axis=0) if mode == "shots" else None)
+    return (zero - one) / totals, totals.min(axis=0) if mode == "shots" else None
 
 
 def retrieve_image(source, mode: str = "exact", *, shots: int | None = None,
@@ -314,7 +396,7 @@ def retrieve_image(source, mode: str = "exact", *, shots: int | None = None,
         layout = source.layout
         mapping = source.mapping if mapping is None else mapping
         table = source.table if table is None else table
-        stats = _structured_statistics(source, mode, shots, seed, branch)
+        chroma = _chroma_columns(*_structured_statistics(source, mode, shots, seed, branch))
         codes = source.codes
     elif isinstance(source, StateVector):
         if layout is None:
@@ -324,12 +406,12 @@ def retrieve_image(source, mode: str = "exact", *, shots: int | None = None,
         if mode == "shots" and branch == "oracle":
             raise ValueError("the oracle branch fast path needs the structured backend")
         mapping = AVERAGE if mapping is None else mapping
-        stats = _dense_statistics(source, layout, mode, shots, seed)
+        chroma = _chroma_columns(*_dense_statistics(source, layout, mode, shots, seed))
         codes = _dense_lightness_codes(source, layout, range(4 ** layout.n))
     else:
         raise TypeError(f"cannot retrieve from {type(source).__name__}")
 
-    return RetrievalReport(n=layout.n, q=layout.q, mode=mode,
-                           shots_per_basis=shots if mode == "shots" else None,
-                           seed=seed, branch=branch if mode == "shots" else "exact",
-                           pixels=_finish_pixels(layout, stats, codes, mapping, table))
+    return RetrievalReport.from_arrays(
+        layout.n, layout.q, mode, shots if mode == "shots" else None, seed,
+        branch if mode == "shots" else "exact", codes=codes,
+        lightness=lightness_fractions(codes, layout.q, mapping, table), **chroma)

@@ -65,6 +65,14 @@ def test_encode_explicit_n_too_small(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_encode_negative_n_exits_2_without_output(tmp_path, capsys):
+    src = green_ppm(tmp_path / "green.ppm", side=1)
+    out = tmp_path / "out.dump"
+    assert main(["encode", str(src), str(out), "--n", "-1"]) == 2
+    assert "grid exponent n=-1 must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_encode_corrupt_png_exits_2_without_output(tmp_path, capsys):
     src = tmp_path / "green.png"
     write_png(src, np.zeros((2, 2, 3), dtype=np.uint8))

@@ -600,6 +600,11 @@ def test_image_grid_above_the_limit_is_refused():
         parse_image(f"QHSL n={MAX_IMAGE_N} q=8 mapping=average\n")
 
 
+def test_negative_grid_exponent_is_refused():
+    with pytest.raises(FormatError, match=r"^grid exponent n=-1 must be non-negative$"):
+        image_from_rgb_array(np.zeros((1, 1, 3), dtype=np.uint8), -1, 8)
+
+
 def test_parse_image_non_finite_phase_is_a_format_error():
     for phi in ("inf", "-inf", "nan", "1e300"):
         with pytest.raises(FormatError, match="line 2: "):

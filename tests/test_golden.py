@@ -11,7 +11,8 @@ files only for an intended change of output, by running the commands in
 
 Twelve significant digits hide most last-bit changes of an angle, so the
 structured commands also run on a seeded 64x64 raster (n=6), whose
-outputs are pinned by their SHA-256 digests.
+outputs are pinned by their SHA-256 digests.  ``retrieve --raster`` renders
+the in-memory report rather than its text, so its rasters are pinned too.
 """
 
 import hashlib
@@ -57,6 +58,8 @@ N6_COMMANDS = [
     "hue.dump", "sat_down.dump", "sat_up.dump", "lighten.dump", "darken.dump", "invert.dump",
     "pseudocolor.dump", "sat_down_exact.report", "sat_down.ppm", "rejection_shots.ppm",
 ]
+# the n=6 retrievals whose `--raster` output is pinned as well
+N6_RASTERS = ["structured_exact.report", "rejection_shots.report", "oracle_shots.report"]
 N6_SEED = 6
 # manual mapping table at q=4: repeated entries, and gray levels halfway
 # between even multiples of 1/255 to exercise the lower-code tie rule
@@ -83,6 +86,9 @@ N6_DIGESTS = {
     "manual_exact.report": "a2b6fa6412e8f9e52b85f1cacc8a9e92aaa4ecbc7aae893c5e5b0da3792b10b6",
     "manual_lighten.dump": "b68e3db5a67d17158fa1e0a5aad49eacffb4093a3868fc6a63b229e2a968462e",
     "manual_gray.ppm": "1229941e1a382dcec8c1cd5ad75f2c4293a4a97ba2fb184d1187139c54cbdd83",
+    "structured_exact.raster.ppm": "35189082eea9755ee0e89b9506bfe67c5af5f0d71376124d52499cc0ff08889a",
+    "rejection_shots.raster.ppm": "9817503ad1bbd106066f0ea11bb0f151178fd0d56aba3203f80136f1f0b56272",
+    "oracle_shots.raster.ppm": "2f59ffe4e1da9202b0d117c0f7f1efbd6ea7b19f0847222db01fa60ee411046f",
 }
 
 
@@ -121,4 +127,10 @@ def test_n6_digests(tmp_path):
         out = tmp_path / name
         assert main([command, str(tmp_path / source), str(out), *options]) == 0
         digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    for name in N6_RASTERS:
+        source, (command, *options) = COMMANDS[name]
+        raster = tmp_path / name.replace(".report", ".raster.ppm")
+        assert main([command, str(tmp_path / source), str(tmp_path / "rendered.report"), *options,
+                     "--raster", str(raster)]) == 0
+        digests[raster.name] = hashlib.sha256(raster.read_bytes()).hexdigest()
     assert digests == N6_DIGESTS

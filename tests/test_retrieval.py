@@ -1,9 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from qhsl import (
+    AVERAGE,
+    MANUAL,
     ChromaState,
     ChromaStatistics,
     Gate,
@@ -13,7 +16,11 @@ from qhsl import (
     NonBasisLightnessError,
     PixelAddress,
     QhslImage,
+    RegionConstraint,
+    RetrievalReport,
+    RetrievedPixel,
     apply_gate,
+    canonical_phase,
     encode_chroma,
     estimate_phi,
     estimate_theta,
@@ -21,10 +28,12 @@ from qhsl import (
     measure_lightness,
     quantize_lightness,
     retrieve_image,
+    saturation_shift,
     simulate_preparation,
     StateVector,
     structured_state,
 )
+from qhsl.color import decode_chroma_arrays, lightness_fractions
 from qhsl.retrieval import EXACT_HUE_FLOOR
 from conftest import random_chroma, random_image, random_color_image
 
@@ -438,10 +447,178 @@ def dense_by_pixels(state, layout, mode, shots, seed):
 def test_batched_statistics_match_per_pixel_reference(rng):
     from qhsl.retrieval import _dense_statistics, _structured_statistics
 
+    def columns(kvw, budgets):
+        return kvw.tolist(), [None] * kvw.shape[1] if budgets is None else budgets.tolist()
+
+    def reference_columns(stats):
+        return ([[s.k for s in stats], [s.v for s in stats], [s.w for s in stats]],
+                [s.shots_per_basis for s in stats])
+
     img = random_color_image(rng, 2, 3)
-    assert _structured_statistics(img, "shots", 40, 5, "rejection") == \
-        rejection_by_pixels(img, 40, 5)
+    assert columns(*_structured_statistics(img, "shots", 40, 5, "rejection")) == \
+        reference_columns(rejection_by_pixels(img, 40, 5))
     state = simulate_preparation(img)
     for mode, shots in (("exact", None), ("shots", 30)):
-        assert _dense_statistics(state, img.layout, mode, shots, 8) == \
-            dense_by_pixels(state, img.layout, mode, shots, 8)
+        assert columns(*_dense_statistics(state, img.layout, mode, shots, 8)) == \
+            reference_columns(dense_by_pixels(state, img.layout, mode, shots, 8))
+
+
+# ---------------------------------------------------------------------------
+# Report columns against the per-pixel reference
+
+
+def reference_check(k, v, w, shots_per_basis):
+    """The per-pixel range check the statistics objects made, as the reference."""
+    sigma = 0.0 if shots_per_basis is None else 1.0 / math.sqrt(shots_per_basis)
+    slack = 3.0 * sigma + 1e-12
+    for name, val in (("k", k), ("v", v), ("w", w)):
+        if not math.isfinite(val) or abs(val) > 1.0 + slack:
+            raise InconsistentStatisticsError(
+                f"statistic {name}={val!r} outside [-1, 1] beyond sampling slack")
+
+
+def reference_statistics(kvw, budgets):
+    budgets = [None] * kvw.shape[1] if budgets is None else budgets.tolist()
+    stats = []
+    for (k, v, w), m in zip(kvw.T.tolist(), budgets):
+        reference_check(k, v, w, m)
+        stats.append(ChromaStatistics(k, v, w, shots_per_basis=m))
+    return stats
+
+
+def reference_phi(stats):
+    radius = math.hypot(stats.v, stats.w)
+    floor = EXACT_HUE_FLOOR if stats.is_exact else 3.0 * math.sqrt(2.0) * stats.sigma
+    if radius <= floor:
+        return 0.0, True
+    phi = math.atan2(stats.w, stats.v)
+    if phi < 0.0:
+        phi += 2.0 * math.pi
+    return phi, False
+
+
+def reference_finish_pixels(layout, stats, codes, mapping, table):
+    """The per-pixel report construction, one RetrievedPixel per statistics object."""
+    thetas = [math.acos(min(1.0, max(-1.0, s.k))) for s in stats]
+    phis, undefined = zip(*map(reference_phi, stats))
+    hue, saturation, _ = decode_chroma_arrays(thetas, [canonical_phase(p) for p in phis])
+    lightness = lightness_fractions(codes, layout.q, mapping, table)
+    return tuple(
+        RetrievedPixel(y=pos >> layout.n, x=pos & (layout.side - 1), theta=t, phi=p,
+                       hue=0.0 if u else h, saturation=sat, code=code, lightness=light,
+                       hue_undefined=u,
+                       theta_3sigma=3.0 * s.sigma / max(math.sin(t), EXACT_HUE_FLOOR),
+                       phi_3sigma=6.0 * s.sigma / max(math.hypot(s.v, s.w), EXACT_HUE_FLOOR))
+        for pos, (s, t, p, u, h, sat, code, light) in enumerate(zip(
+            stats, thetas, phis, undefined, hue.tolist(), saturation.tolist(), codes.tolist(),
+            lightness.tolist())))
+
+
+def pixel_bits(pixels):
+    """Every field with its type, floats by their bits (so -0.0 != 0.0)."""
+    return [tuple((type(v), v.hex() if isinstance(v, float) else v) for v in astuple(px))
+            for px in pixels]
+
+
+def column_test_images(n, q, mapping):
+    """A random image, two with saturations folded over the band edges, and
+    one with pixels on and next to the Bloch poles."""
+    rng = np.random.default_rng(100 * n + q)
+    img = random_color_image(rng, n, q)
+    table = np.sort(rng.random(2 ** q)) if mapping == MANUAL else None
+    img = QhslImage.from_arrays(n, q, img.theta, img.phase_steps, img.codes, mapping, table)
+    rows = RegionConstraint(y_range=(0, (2 ** n - 1) // 2)) if n else None
+    poles = img.theta.copy()
+    poles[::3], poles[1::3], poles[2::5] = 0.0, math.pi, 1e-7
+    return [img, saturation_shift(img, 1.5 * math.pi / 3.0, rows),
+            saturation_shift(img, -1.5 * math.pi / 3.0, rows),
+            QhslImage.from_arrays(n, q, poles, img.phase_steps, img.codes, mapping, table)]
+
+
+@pytest.mark.parametrize("mapping", [AVERAGE, MANUAL])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_structured_columns_match_per_pixel_reference(n, mapping):
+    from qhsl.retrieval import _structured_statistics
+
+    for img in column_test_images(n, 3, mapping):
+        for mode, shots, branch in (("exact", None, "rejection"), ("shots", 16, "rejection"),
+                                    ("shots", 16, "oracle"), ("shots", 3000, "oracle")):
+            report = retrieve_image(img, mode, shots=shots, seed=4, branch=branch)
+            stats = reference_statistics(*_structured_statistics(img, mode, shots, 4, branch))
+            want = reference_finish_pixels(img.layout, stats, img.codes, img.mapping, img.table)
+            assert pixel_bits(report.pixels) == pixel_bits(want)
+            assert [report.pixel(px.y, px.x) for px in want] == list(report.pixels)
+
+
+@pytest.mark.parametrize("mapping", [AVERAGE, MANUAL])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dense_columns_match_per_pixel_reference(n, mapping):
+    from qhsl.retrieval import _dense_lightness_codes, _dense_statistics
+
+    for img in column_test_images(n, 2, mapping):
+        state = simulate_preparation(img)
+        codes = _dense_lightness_codes(state, img.layout, range(4 ** n))
+        for mode, shots in (("exact", None), ("shots", 16), ("shots", 3000)):
+            report = retrieve_image(state, mode, shots=shots, seed=4, layout=img.layout,
+                                    mapping=img.mapping, table=img.table)
+            stats = reference_statistics(*_dense_statistics(state, img.layout, mode, shots, 4))
+            want = reference_finish_pixels(img.layout, stats, codes, img.mapping, img.table)
+            assert pixel_bits(report.pixels) == pixel_bits(want)
+
+
+@pytest.mark.parametrize("kvw, budgets", [
+    ([[0.5, 0.2, 1.5, 0.0], [0.0, 0.1, 0.0, 2.0], [0.0, -1.2, 0.0, 0.0]], None),
+    ([[0.5, 0.2], [1.0 + 2e-12, -3.0], [float("nan"), 0.0]], None),
+    ([[0.0, float("-inf")], [0.0, float("nan")], [0.0, 0.0]], None),
+    ([[1.0, 0.0, 0.0], [0.0, -1.7, 0.0], [0.0, 2.5, 9.0]], [25, 25, 25]),
+    ([[1.59, 1.61, 0.0], [0.0, 0.0, -1.61], [0.0, 0.0, 0.0]], [25, 25, 25]),
+])
+def test_column_range_check_names_the_first_offending_statistic(kvw, budgets):
+    from qhsl.retrieval import _chroma_columns
+
+    kvw = np.array(kvw)
+    budgets = None if budgets is None else np.array(budgets)
+    with pytest.raises(InconsistentStatisticsError) as want:
+        reference_statistics(kvw, budgets)
+    with pytest.raises(InconsistentStatisticsError) as got:
+        _chroma_columns(kvw, budgets)
+    assert str(got.value) == str(want.value)
+
+
+def test_reports_compare_by_columns_and_hash_by_metadata(rng):
+    img = random_color_image(rng, 2, 3)
+    report = retrieve_image(img, "shots", shots=64, seed=2)
+    again = retrieve_image(img, "shots", shots=64, seed=2)
+    assert report == again and hash(report) == hash(again)
+    assert retrieve_image(img, "shots", shots=64, seed=3) != report
+    rebuilt = RetrievalReport(report.n, report.q, report.mode, report.shots_per_basis,
+                              report.seed, report.branch, report.pixels)
+    assert rebuilt == report and rebuilt.pixels == report.pixels
+    assert not report.theta.flags.writeable
+    with pytest.raises(ValueError, match="raster order"):
+        RetrievalReport(report.n, report.q, report.mode, report.shots_per_basis,
+                        report.seed, report.branch, report.pixels[::-1])
+    with pytest.raises(ValueError, match="outside"):
+        report.pixel(0, 4)
+
+
+def test_retrieval_builds_no_per_pixel_objects(rng, tmp_path, monkeypatch):
+    import qhsl.retrieval
+    from qhsl import format_report, save_image
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-pixel object was built")
+
+    img = random_color_image(rng, 2, 3)
+    state = simulate_preparation(img)
+    monkeypatch.setattr(qhsl.retrieval, "RetrievedPixel", refuse)
+    monkeypatch.setattr(qhsl.retrieval, "ChromaStatistics", refuse)
+    reports = [retrieve_image(img), retrieve_image(img, "shots", shots=32, seed=1),
+               retrieve_image(img, "shots", shots=32, seed=1, branch="oracle"),
+               retrieve_image(state, layout=img.layout),
+               retrieve_image(state, "shots", shots=32, seed=1, layout=img.layout)]
+    for i, report in enumerate(reports):
+        assert format_report(report).count("\n") == 17
+        save_image(tmp_path / f"{i}.ppm", report)
+    with pytest.raises(AssertionError, match="per-pixel"):
+        reports[0].pixels
