@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import QhslError
 from .formats import (
     image_from_rgb_array,
     load_dump,
+    parse_image,
     parse_report,
     read_mapping_table,
     read_pseudocolor_map,
@@ -87,7 +89,7 @@ def _cmd_decode(args) -> int:
         meta = parse_report(text)
         write_raster(args.output, report_rows_to_rgb_array(meta["n"], meta["rows"]))
     else:
-        save_image(args.output, load_dump(args.input))
+        save_image(args.output, parse_image(text, base_dir=Path(args.input).parent))
     return 0
 
 

@@ -38,7 +38,7 @@ from .color import (
     validate_table,
 )
 from .errors import ConfigurationError, FormatError
-from .image import QhslImage, check_image_size
+from .image import _MAX_Q, QhslImage, check_image_size
 from .retrieval import RetrievalReport
 from .sim import Circuit, ControlPattern, Gate, Instruction
 from .transforms import PseudocolorMap
@@ -268,24 +268,24 @@ def write_png(path, rgb: np.ndarray) -> None:
     )))
 
 
+# raster codecs by file suffix: (reader, writer)
+_RASTER_CODECS = {".ppm": (read_ppm, write_ppm), ".png": (read_png, write_png)}
+
+
+def _raster_codec(path):
+    suffix = Path(path).suffix.lower()
+    if suffix not in _RASTER_CODECS:
+        raise FormatError(f"unsupported raster format {suffix!r} (use .ppm or .png)")
+    return _RASTER_CODECS[suffix]
+
+
 def read_raster(path) -> np.ndarray:
     """Read a raster file by extension (.ppm or .png)."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".ppm":
-        return read_ppm(path)
-    if suffix == ".png":
-        return read_png(path)
-    raise FormatError(f"unsupported raster format {suffix!r} (use .ppm or .png)")
+    return _raster_codec(path)[0](path)
 
 
 def write_raster(path, rgb: np.ndarray) -> None:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".ppm":
-        write_ppm(path, rgb)
-    elif suffix == ".png":
-        write_png(path, rgb)
-    else:
-        raise FormatError(f"unsupported raster format {suffix!r} (use .ppm or .png)")
+    _raster_codec(path)[1](path, rgb)
 
 
 def image_from_rgb_array(rgb: np.ndarray, n: int, q: int, mapping: str = AVERAGE,
@@ -327,46 +327,50 @@ def image_to_rgb_array(img: QhslImage) -> np.ndarray:
     """
     hue, sat, undefined = decode_chroma_arrays(img.theta, img.phi)
     light = lightness_fractions(img.codes, img.q, img.mapping, img.table)
-    return _raster_columns_to_rgb_array(img.n, hue, sat, light, undefined)
+    return _render(img.n, hue, sat, light, undefined)
 
 
-def _raster_columns_to_rgb_array(n: int, hue, saturation, lightness, undefined) -> np.ndarray:
-    """report_rows_to_rgb_array for raster-order columns covering the whole grid."""
-    pos = np.arange(4 ** n)
-    return report_rows_to_rgb_array(
-        n, np.column_stack([pos >> n, pos & (2 ** n - 1), hue, saturation, lightness, undefined]))
-
-
-def report_rows_to_rgb_array(n: int, rows) -> np.ndarray:
-    """Render (y, x, hue, saturation, lightness, hue_undefined) rows to 8-bit RGB.
-
-    Saturation counts as zero where the hue is undefined; pixels without a
-    row stay black.  Reports and images both render through here.
-    """
+def _render(n: int, hue, saturation, lightness, undefined, position=slice(None)) -> np.ndarray:
+    """8-bit RGB of the 2**n x 2**n grid from columns at raster ``position``: images and
+    reports, parsed or not, render here.  Pixels without a value stay black."""
     side = 2 ** n
-    data = np.array(rows, dtype=np.float64).reshape(-1, 6)
-    y, x = data[:, 0].astype(np.int64), data[:, 1].astype(np.int64)
-    outside = np.flatnonzero((y < 0) | (y >= side) | (x < 0) | (x >= side))
-    if outside.size:
-        i = outside[0]
-        raise FormatError(f"report pixel ({y[i]}, {x[i]}) outside the {side}x{side} grid")
-    hsl = np.zeros((side * side, 3), dtype=np.float64)
-    hsl[y * side + x] = np.column_stack(
-        [data[:, 2], np.where(data[:, 5] != 0.0, 0.0, data[:, 3]), data[:, 4]])
+    hsl = np.zeros((side * side, 3))
+    hsl[position] = np.column_stack([hue, np.where(undefined, 0.0, saturation), lightness])
     return hsl_array_to_rgb(hsl.reshape(side, side, 3))
 
 
+def report_rows_to_rgb_array(n: int, rows) -> np.ndarray:
+    """Render (y, x, hue, saturation, lightness, hue_undefined) rows to 8-bit RGB; a
+    row off the grid, or with a value no report holds, raises FormatError."""
+    side = 2 ** n
+    try:
+        data = np.array(rows, dtype=np.float64).reshape(-1, 6)
+        inside = np.all((data[:, :2] >= 0) & (data[:, :2] < side))
+    except OverflowError:  # an integer past float range
+        inside = False
+    if not inside:
+        y, x = next((y, x) for y, x, *_ in rows if not (0 <= y < side and 0 <= x < side))
+        raise FormatError(f"report pixel ({y}, {x}) outside the {side}x{side} grid")
+    # 2*pi prints as hue 360 at 12 digits
+    valid = (data[:, 2:5] >= 0.0) & (data[:, 2:5] <= (360.0, 1.0, 1.0))
+    if not valid.all():
+        i, j = np.argwhere(~valid)[0]
+        y, x, *values = rows[i]
+        name, top = (("hue", 360), ("saturation", 1), ("lightness", 1))[j]
+        raise FormatError(f"report pixel ({y}, {x}) has {name} {values[j]} outside [0, {top}]")
+    position = data[:, 0].astype(np.int64) * side + data[:, 1].astype(np.int64)
+    return _render(n, data[:, 2], data[:, 3], data[:, 4], data[:, 5], position)
+
+
 def report_to_rgb_array(report: RetrievalReport) -> np.ndarray:
-    return _raster_columns_to_rgb_array(report.n, report.hue, report.saturation,
-                                        report.lightness, report.hue_undefined)
+    return _render(report.n, report.hue, report.saturation, report.lightness,
+                   report.hue_undefined)
 
 
 def save_image(path, source) -> None:
     """Write a QhslImage or RetrievalReport as a raster file."""
-    if isinstance(source, RetrievalReport):
-        write_raster(path, report_to_rgb_array(source))
-    else:
-        write_raster(path, image_to_rgb_array(source))
+    report = isinstance(source, RetrievalReport)
+    write_raster(path, (report_to_rgb_array if report else image_to_rgb_array)(source))
 
 
 def _stable_angle(value: float, canonical) -> str:
@@ -401,11 +405,38 @@ def format_image(img: QhslImage) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str, comments: bool = False, split: bool = True):
+    """Yield (line number, tokens) for each non-blank line, or the stripped line if
+    not ``split``; with ``comments``, lines starting with '#' are skipped too."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split() if split else raw.strip()
+        # line[0][0] is the first character either way
+        if line and not (comments and line[0][0] == "#"):
+            yield ln, line
+
+
+def _header_line(lines, what: str):
+    for item in lines:
+        return item
+    raise FormatError(f"empty {what}")
+
+
+def _line_error(ln: int, error) -> FormatError:
+    return FormatError(f"line {ln}: {error}")
+
+
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {os.fspath(path)!r}: {exc}") from exc
+
+
 def _parse_header_fields(tokens: list[str], ln: int) -> dict[str, str]:
     fields = {}
     for tok in tokens:
         if "=" not in tok:
-            raise FormatError(f"line {ln}: malformed header field {tok!r}")
+            raise _line_error(ln, f"malformed header field {tok!r}")
         key, value = tok.split("=", 1)
         fields[key] = value
     return fields
@@ -418,78 +449,66 @@ def parse_image(text: str, base_dir=None) -> QhslImage:
     A manual mapping's table reference is resolved relative to
     ``base_dir`` (the dump's directory when loading from a file).
     """
-    header = None
-    thetas, steps, codes = [], [], []
-    n = q = side = 0
+    lines = _lines(text)
+    ln, tokens = _header_line(lines, "image dump")
+    if tokens[0] != "QHSL":
+        raise _line_error(ln, "expected a 'QHSL n=... q=... mapping=...' header")
+    fields = _parse_header_fields(tokens[1:], ln)
+    missing = {"n", "q", "mapping"} - fields.keys()
+    if missing:
+        raise _line_error(ln, f"header is missing {sorted(missing)}")
+    try:
+        n, q = int(fields["n"]), int(fields["q"])
+    except ValueError as exc:
+        raise _line_error(ln, exc) from exc
+    if n < 0 or q < 0:
+        raise _line_error(ln, "n and q must be non-negative")
+    check_image_size(n, f"line {ln}: ")
+    if q > _MAX_Q:
+        raise _line_error(ln, f"q={q} exceeds the limit of {_MAX_Q} lightness qubits")
     mapping, table, ref = AVERAGE, None, None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if header is None:
-            tokens = line.split()
-            if not tokens or tokens[0] != "QHSL":
-                raise FormatError(f"line {ln}: expected a 'QHSL n=... q=... mapping=...' header")
-            fields = _parse_header_fields(tokens[1:], ln)
-            missing = {"n", "q", "mapping"} - fields.keys()
-            if missing:
-                raise FormatError(f"line {ln}: header is missing {sorted(missing)}")
-            try:
-                n, q = int(fields["n"]), int(fields["q"])
-            except ValueError as exc:
-                raise FormatError(f"line {ln}: {exc}") from exc
-            if n < 0 or q < 0:
-                raise FormatError(f"line {ln}: n and q must be non-negative")
-            check_image_size(n, f"line {ln}: ")
-            spec = fields["mapping"]
-            if spec == "average":
-                mapping = AVERAGE
-            elif spec.startswith("manual:"):
-                mapping = MANUAL
-                ref = spec.split(":", 1)[1]
-                if not ref:
-                    raise FormatError(f"line {ln}: empty table reference")
-                resolved = ref if os.path.isabs(ref) else os.path.join(
-                    os.fspath(base_dir) if base_dir is not None else ".", ref)
-                try:
-                    table = validate_table(read_mapping_table(resolved), q)
-                except ConfigurationError as exc:
-                    raise FormatError(f"line {ln}: bad mapping table: {exc}") from exc
-            else:
-                raise FormatError(f"line {ln}: unknown mapping {spec!r}")
-            header = fields
-            side = 2 ** n
-            continue
-        tokens = line.split()
-        if len(tokens) != 5:
-            raise FormatError(f"line {ln}: expected 'y x theta phi L', got {len(tokens)} fields")
-        index = len(codes)
-        if index >= side * side:
-            raise FormatError(f"line {ln}: more pixel lines than the {side}x{side} grid")
+    spec = fields["mapping"]
+    if spec.startswith("manual:"):
+        mapping = MANUAL
+        ref = spec.split(":", 1)[1]
+        if not ref:
+            raise _line_error(ln, "empty table reference")
+        resolved = os.path.join("." if base_dir is None else base_dir, ref)
         try:
-            y, x = int(tokens[0]), int(tokens[1])
-            theta, phi = float(tokens[2]), float(tokens[3])
-            bits = int(tokens[4])
+            table = validate_table(read_mapping_table(resolved), q)
+        except ConfigurationError as exc:
+            raise _line_error(ln, f"bad mapping table: {exc}") from exc
+    elif spec != "average":
+        raise _line_error(ln, f"unknown mapping {spec!r}")
+
+    side = 2 ** n
+    count, top, theta_max = side * side, 2 ** q, math.pi + 1e-9
+    thetas, steps, codes = [], [], []
+    for index, (ln, tokens) in enumerate(lines):
+        if len(tokens) != 5:
+            raise _line_error(ln, f"expected 'y x theta phi L', got {len(tokens)} fields")
+        if index >= count:
+            raise _line_error(ln, f"more pixel lines than the {side}x{side} grid")
+        y, x, theta, phi, bits = tokens
+        try:
+            y, x, theta, phi, bits = int(y), int(x), float(theta), float(phi), int(bits)
         except ValueError as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
+            raise _line_error(ln, exc) from exc
         if (y, x) != divmod(index, side):
-            raise FormatError(
-                f"line {ln}: pixel ({y}, {x}) out of raster order, expected "
-                f"({index // side}, {index % side})")
-        if not 0.0 <= theta <= math.pi + 1e-9:
-            raise FormatError(f"line {ln}: theta {theta} outside [0, pi]")
-        if not 0 <= bits < 2 ** q:
-            raise FormatError(f"line {ln}: bits {bits} outside 0..{2 ** q - 1}")
+            raise _line_error(ln, f"pixel ({y}, {x}) out of raster order, expected "
+                                  f"({index // side}, {index % side})")
+        if not 0.0 <= theta <= theta_max:
+            raise _line_error(ln, f"theta {theta} outside [0, pi]")
+        if not 0 <= bits < top:
+            raise _line_error(ln, f"bits {bits} outside 0..{top - 1}")
         try:
             steps.append(phase_steps(phi))
         except (ValueError, OverflowError) as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
-        thetas.append(min(theta, math.pi))
+            raise _line_error(ln, exc) from exc
+        thetas.append(theta if theta <= math.pi else math.pi)
         codes.append(bits)
-    if header is None:
-        raise FormatError("empty image dump")
-    if len(codes) != side * side:
-        raise FormatError(f"dump has {len(codes)} pixel lines, expected {side * side}")
+    if len(codes) != count:
+        raise FormatError(f"dump has {len(codes)} pixel lines, expected {count}")
     return QhslImage.from_arrays(n, q, thetas, steps, codes, mapping, table, ref)
 
 
@@ -522,48 +541,38 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_instruction(line: str) -> Instruction:
+    m = _INSTR_RE.match(line)
+    if not m:
+        raise ValueError(f"unrecognized instruction {line!r}")
+    kind, params, target, controls = m.groups()
+    # Gate checks the kind and its parameter count
+    gate = Gate(kind, tuple(float(p) for p in params.split(",") if p.strip()))
+    terms = []
+    for part in controls.split(",") if controls else ():
+        if "=" not in part:
+            raise ValueError(f"malformed control term {part!r}")
+        qb, bit = part.split("=", 1)
+        terms.append((int(qb), int(bit)))
+    return Instruction(gate, int(target), ControlPattern(tuple(terms)))
+
+
 def parse_circuit(text: str) -> Circuit:
-    num_qubits = None
+    # instructions are matched whole, since their parameter lists hold spaces
+    lines = _lines(text, split=False)
+    ln, line = _header_line(lines, "circuit file")
+    m = _CIRCUIT_HEADER_RE.match(line)
+    if not m:
+        raise _line_error(ln, "expected header '# qhsl-circuit v1 qubits=<k>'")
     instrs: list[Instruction] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if num_qubits is None:
-            m = _CIRCUIT_HEADER_RE.match(line)
-            if not m:
-                raise FormatError(f"line {ln}: expected header '# qhsl-circuit v1 qubits=<k>'")
-            num_qubits = int(m.group(1))
-            continue
-        if line.startswith("#"):
-            continue
-        m = _INSTR_RE.match(line)
-        if not m:
-            raise FormatError(f"line {ln}: unrecognized instruction {line!r}")
-        kind, params_s, target_s, controls_s = m.groups()
-        try:
-            # Gate checks the kind and its parameter count
-            gate = Gate(kind, tuple(float(p) for p in params_s.split(",") if p.strip()))
-        except ValueError as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
-        terms = []
-        if controls_s:
-            for part in controls_s.split(","):
-                if "=" not in part:
-                    raise FormatError(f"line {ln}: malformed control term {part!r}")
-                qb_s, bit_s = part.split("=", 1)
-                try:
-                    terms.append((int(qb_s), int(bit_s)))
-                except ValueError as exc:
-                    raise FormatError(f"line {ln}: {exc}") from exc
-        try:
-            instrs.append(Instruction(gate, int(target_s), ControlPattern(tuple(terms))))
-        except ValueError as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
-    if num_qubits is None:
-        raise FormatError("empty circuit file")
+    for ln, line in lines:
+        if line[0] != "#":
+            try:
+                instrs.append(_parse_instruction(line))
+            except ValueError as exc:
+                raise _line_error(ln, exc) from exc
     try:
-        return Circuit(num_qubits, tuple(instrs))
+        return Circuit(int(m.group(1)), tuple(instrs))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -578,20 +587,12 @@ def load_circuit(path) -> Circuit:
 
 def read_mapping_table(path) -> tuple[float, ...]:
     """Read a lightness mapping table: whitespace-separated fractions."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read mapping table {os.fspath(path)!r}: {exc}") from exc
     values: list[float] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        for tok in line.split():
-            try:
-                values.append(float(tok))
-            except ValueError as exc:
-                raise FormatError(f"line {ln}: {exc}") from exc
+    for ln, tokens in _lines(_read_text(path, "mapping table"), comments=True):
+        try:
+            values += map(float, tokens)
+        except ValueError as exc:
+            raise _line_error(ln, exc) from exc
     return tuple(values)
 
 
@@ -601,22 +602,14 @@ def write_mapping_table(path, table) -> None:
 
 def read_pseudocolor_map(path) -> PseudocolorMap:
     """Read a pseudocolor map: one `lo hi hue_degrees` interval per line."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read pseudocolor map {os.fspath(path)!r}: {exc}") from exc
     entries = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for ln, tokens in _lines(_read_text(path, "pseudocolor map"), comments=True):
         if len(tokens) != 3:
-            raise FormatError(f"line {ln}: expected 'lo hi hue_degrees', got {len(tokens)} fields")
+            raise _line_error(ln, f"expected 'lo hi hue_degrees', got {len(tokens)} fields")
         try:
             entries.append((int(tokens[0]), int(tokens[1]), float(tokens[2])))
         except ValueError as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
+            raise _line_error(ln, exc) from exc
     if not entries:
         raise FormatError("empty pseudocolor map")
     return PseudocolorMap(tuple(entries))
@@ -638,42 +631,35 @@ def format_report(report: RetrievalReport) -> str:
 
 def parse_report(text: str) -> dict:
     """Parse a report into {'n', 'q', 'mode', 'shots', 'seed', 'branch', 'rows'}."""
-    meta = None
+    lines = _lines(text)
+    ln, tokens = _header_line(lines, "report")
+    head = " ".join(tokens).lstrip("#").split()
+    if tokens[0][0] != "#" or not head or head[0] != "qhsl-report":
+        raise _line_error(ln, "expected a '# qhsl-report ...' header")
+    fields = _parse_header_fields(head[1:], ln)
+    try:
+        meta = {
+            "n": int(fields["n"]),
+            "q": int(fields["q"]),
+            "mode": fields["mode"],
+            "shots": None if fields["shots"] == "-" else int(fields["shots"]),
+            "seed": None if fields["seed"] == "-" else int(fields["seed"]),
+            "branch": fields["branch"],
+        }
+    except (KeyError, ValueError) as exc:
+        raise _line_error(ln, f"bad report header: {exc}") from exc
+    check_image_size(meta["n"], f"line {ln}: ")
     rows = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if meta is None:
-            if not line.startswith("#"):
-                raise FormatError(f"line {ln}: expected a '# qhsl-report ...' header")
-            tokens = line.lstrip("#").split()
-            if not tokens or tokens[0] != "qhsl-report":
-                raise FormatError(f"line {ln}: expected a '# qhsl-report ...' header")
-            fields = _parse_header_fields(tokens[1:], ln)
-            try:
-                meta = {
-                    "n": int(fields["n"]),
-                    "q": int(fields["q"]),
-                    "mode": fields["mode"],
-                    "shots": None if fields["shots"] == "-" else int(fields["shots"]),
-                    "seed": None if fields["seed"] == "-" else int(fields["seed"]),
-                    "branch": fields["branch"],
-                }
-            except (KeyError, ValueError) as exc:
-                raise FormatError(f"line {ln}: bad report header: {exc}") from exc
-            continue
-        tokens = line.split()
-        if len(tokens) != 6:
-            raise FormatError(
-                f"line {ln}: expected 'y x hue saturation lightness flag', got {len(tokens)} fields")
+    for ln, tokens in lines:
         try:
-            rows.append((int(tokens[0]), int(tokens[1]), float(tokens[2]),
-                         float(tokens[3]), float(tokens[4]), bool(int(tokens[5]))))
+            y, x, hue, sat, light, flag = tokens
+        except ValueError:
+            raise _line_error(ln, "expected 'y x hue saturation lightness flag', "
+                                  f"got {len(tokens)} fields") from None
+        try:
+            rows.append((int(y), int(x), float(hue), float(sat), float(light), int(flag) != 0))
         except ValueError as exc:
-            raise FormatError(f"line {ln}: {exc}") from exc
-    if meta is None:
-        raise FormatError("empty report")
+            raise _line_error(ln, exc) from exc
     meta["rows"] = tuple(rows)
     return meta
 

@@ -35,6 +35,8 @@ from .sim import Circuit, ControlPattern, Gate, Instruction, StateVector, run_ci
 DENSE_QUBIT_BUDGET = 26
 # largest grid exponent an image may have: 2**11 x 2**11 = 4M pixels
 MAX_IMAGE_N = 11
+# widest lightness register whose codes, plus any shift below 2**q, fit in int64
+_MAX_Q = 62
 
 
 def check_image_size(n: int, context: str = "") -> None:
@@ -169,6 +171,8 @@ class QhslImage:
     def _set(self, n, q, theta, phase_steps, codes, mapping, table, table_source) -> None:
         if n < 0 or q < 0:
             raise ValueError("n and q must be non-negative")
+        if q > _MAX_Q:
+            raise ValueError(f"q={q} exceeds the limit of {_MAX_Q} lightness qubits")
         # a LightnessCode checks the mapping name and validates the table
         self.table = LightnessCode(q, 0, mapping, table).table
         self.n, self.q, self.mapping, self.table_source = n, q, mapping, table_source

@@ -391,9 +391,12 @@ def retrieve_image(source, mode: str = "exact", *, shots: int | None = None,
         raise ValueError("shots mode needs a positive shot count")
     if branch not in ("oracle", "rejection"):
         raise ValueError(f"unknown branch access {branch!r}")
+    layout = source.layout if isinstance(source, QhslImage) else layout
+    if mode == "shots" and layout is not None and shots * 4 ** layout.n > 2 ** 63 - 1:
+        raise ValueError(f"{shots} shots per basis on {4 ** layout.n} pixels exceed "
+                         "2**63 - 1 samples")
 
     if isinstance(source, QhslImage):
-        layout = source.layout
         mapping = source.mapping if mapping is None else mapping
         table = source.table if table is None else table
         chroma = _chroma_columns(*_structured_statistics(source, mode, shots, seed, branch))

@@ -111,6 +111,8 @@ def _rotate_phases(steps: np.ndarray, dphi: float, selected=True) -> np.ndarray:
 
 def hue_shift(img: QhslImage, dphi: float, region: RegionConstraint | None = None) -> QhslImage:
     """Rotate hue phases by dphi (mod 2*pi, exact on the phase grid)."""
+    if not math.isfinite(dphi):
+        raise ValueError(f"hue shift {dphi} is not finite")
     return _replace(img, steps=_rotate_phases(img.phase_steps, dphi, _selection(img, region)))
 
 
@@ -131,6 +133,8 @@ def saturation_shift(img: QhslImage, dtheta: float,
     pi, which is what the corresponding qubit rotation does physically.
     Decoding clamps saturation to [0, 1] on the outer thirds.
     """
+    if not math.isfinite(dtheta):
+        raise ValueError(f"saturation shift {dtheta} is not finite")
     selected = _selection(img, region)
     theta, flip = _fold_theta(img.theta + dtheta)
     return _replace(img, theta=np.where(selected, theta, img.theta),

@@ -321,3 +321,94 @@ def test_decode_report_row_outside_grid_exits_2(tmp_path, capsys):
                       "0 0 10 0.5 0.5 0\n5 0 10 0.5 0.5 0\n", encoding="utf-8")
     assert main(["decode", str(report), str(tmp_path / "bad.ppm")]) == 2
     assert "outside the 2x2 grid" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Inputs no writer produces, and numbers past what the arithmetic holds
+
+
+def _write_report(path, header, rows="0 0 10 0.5 0.5 0\n"):
+    path.write_text(f"# qhsl-report {header} q=2 mode=exact shots=- seed=- branch=exact\n{rows}",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("n, message", [
+    ("-1", "line 1: grid exponent n=-1 must be non-negative"),
+    ("20", "line 1: a 2**20 x 2**20 image exceeds the limit of n=11 (4194304 pixels)"),
+])
+def test_decode_refuses_report_grid_exponents(tmp_path, capsys, n, message):
+    report = _write_report(tmp_path / "bad.report", f"n={n}")
+    assert main(["decode", str(report), str(tmp_path / "bad.ppm")]) == 2
+    assert capsys.readouterr().err == f"qhsl decode: {message}\n"
+    assert not (tmp_path / "bad.ppm").exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0 0 10 nan 0.5 0", "report pixel (0, 0) has saturation nan outside [0, 1]"),
+    ("0 0 inf 0.5 0.5 0", "report pixel (0, 0) has hue inf outside [0, 360]"),
+    ("0 0 -1 0.5 0.5 0", "report pixel (0, 0) has hue -1.0 outside [0, 360]"),
+    ("0 0 10 0.5 1.5 0", "report pixel (0, 0) has lightness 1.5 outside [0, 1]"),
+    ("1000000000000000000000000000000 0 10 0.5 0.5 0",
+     "report pixel (1000000000000000000000000000000, 0) outside the 1x1 grid"),
+])
+def test_decode_refuses_report_rows_no_writer_produces(tmp_path, capsys, row, message):
+    report = _write_report(tmp_path / "bad.report", "n=0", row + "\n")
+    assert main(["decode", str(report), str(tmp_path / "bad.ppm")]) == 2
+    assert capsys.readouterr().err == f"qhsl decode: {message}\n"
+
+
+def test_decode_keeps_hue_360(tmp_path):
+    report = _write_report(tmp_path / "edge.report", "n=0", "0 0 360 1 0.5 0\n")
+    assert main(["decode", str(report), str(tmp_path / "edge.ppm")]) == 0
+    assert read_ppm(tmp_path / "edge.ppm").tolist() == [[[255, 0, 0]]]
+
+
+def _dump_with_q(path, q):
+    path.write_text(f"QHSL n=0 q={q} mapping=average\n0 0 1.0471975512 0 0\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("q, flags", [("100", ["--invert"]), ("100", ["--lighten", "1"]),
+                                      ("63", ["--lighten", "5"])])
+def test_transform_refuses_lightness_registers_above_62_qubits(tmp_path, capsys, q, flags):
+    dump = _dump_with_q(tmp_path / "wide.dump", q)
+    assert main(["transform", str(dump), str(tmp_path / "out.dump"), *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"qhsl transform: line 1: q={q} exceeds the limit of 62 lightness qubits\n")
+
+
+def test_transform_works_at_62_lightness_qubits(tmp_path):
+    dump = _dump_with_q(tmp_path / "wide.dump", 62)
+    out = tmp_path / "out.dump"
+    assert main(["transform", str(dump), str(out), "--lighten", str(2 ** 62 - 1)]) == 0
+    assert load_dump(out).codes.tolist() == [2 ** 62 - 1]
+    assert main(["transform", str(out), str(out), "--invert"]) == 0
+    assert load_dump(out).codes.tolist() == [0]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--hue-shift", "inf", "hue shift inf is not finite"),
+    ("--hue-shift", "nan", "hue shift nan is not finite"),
+    ("--sat-shift", "nan", "saturation shift nan is not finite"),
+    ("--sat-shift", "-inf", "saturation shift -inf is not finite"),
+])
+def test_transform_refuses_non_finite_shifts(tmp_path, green_dump, capsys, flag, value, message):
+    out = tmp_path / "out.dump"
+    assert main(["transform", str(green_dump), str(out), f"{flag}={value}"]) == 2
+    assert capsys.readouterr().err == f"qhsl transform: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shots, flags", [
+    ("3000000000000000000", ["--branch", "rejection"]),
+    ("3000000000000000000", ["--backend", "dense"]),
+    ("9300000000000000000", ["--branch", "oracle"]),
+])
+def test_retrieve_refuses_shot_totals_past_int64(tmp_path, green_dump, capsys, shots, flags):
+    out = tmp_path / "r.report"
+    assert main(["retrieve", str(green_dump), str(out), "--mode", "shots", "--shots", shots,
+                 *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"qhsl retrieve: {shots} shots per basis on 4 pixels exceed 2**63 - 1 samples\n")
+    assert not out.exists()

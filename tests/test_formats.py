@@ -8,13 +8,17 @@ import pytest
 
 from qhsl import (
     ChromaState,
+    ConfigurationError,
+    ControlConflictError,
     FormatError,
     Gate,
     Instruction,
     Circuit,
     ControlPattern,
     LightnessCode,
+    QhslError,
     QhslImage,
+    QubitBudgetError,
     encode_chroma,
     HslColor,
     format_circuit,
@@ -652,3 +656,136 @@ def test_undefined_hue_renders_grey_in_images_and_reports():
     rows = [(0, 0, 120.0, 0.7, 1 / 3, True)]
     assert np.array_equal(report_rows_to_rgb_array(0, rows), grey)
     assert not np.array_equal(report_rows_to_rgb_array(0, [rows[0][:5] + (False,)]), grey)
+
+
+# ---------------------------------------------------------------------------
+# Every reader error, pinned in full
+
+
+_DUMP = "QHSL n=0 q=2 mapping=average\n"
+_REPORT = "# qhsl-report n=0 q=2 mode=exact shots=- seed=- branch=exact\n"
+_CIRCUIT = "# qhsl-circuit v1 qubits=3\n"
+_NO_FILE = "[Errno 2] No such file or directory: '{path}'"
+
+# reader, input text (None: the file is absent), error type, message;
+# "{path}" stands for the file the reader opens
+READER_ERRORS = [
+    ("dump", "BOGUS n=0 q=0 mapping=average\n", FormatError,
+     "line 1: expected a 'QHSL n=... q=... mapping=...' header"),
+    ("dump", "\n\nBOGUS n=0 q=0 mapping=average\n", FormatError,
+     "line 3: expected a 'QHSL n=... q=... mapping=...' header"),
+    ("dump", "QHSL n=0 q=0 mapping=average bad\n", FormatError,
+     "line 1: malformed header field 'bad'"),
+    ("dump", "QHSL n=0 q=0\n", FormatError, "line 1: header is missing ['mapping']"),
+    ("dump", "QHSL n=x q=0 mapping=average\n", FormatError,
+     "line 1: invalid literal for int() with base 10: 'x'"),
+    ("dump", "QHSL n=0 q=-1 mapping=average\n", FormatError,
+     "line 1: n and q must be non-negative"),
+    ("dump", "QHSL n=-1 q=0 mapping=average\n", FormatError,
+     "line 1: n and q must be non-negative"),
+    ("dump", "QHSL n=12 q=0 mapping=average\n", QubitBudgetError,
+     "line 1: a 2**12 x 2**12 image exceeds the limit of n=11 (4194304 pixels)"),
+    ("dump", "QHSL n=0 q=2 mapping=manual:\n", FormatError, "line 1: empty table reference"),
+    ("dump", "QHSL n=0 q=2 mapping=manual:short.txt\n0 0 1.0 0.0 0\n", FormatError,
+     "line 1: bad mapping table: mapping table has 2 entries, expected 4"),
+    ("dump", "QHSL n=0 q=2 mapping=manual:input.txt\n", FormatError,
+     "cannot read mapping table '{path}': " + _NO_FILE),
+    ("dump", "QHSL n=0 q=2 mapping=gamma\n", FormatError, "line 1: unknown mapping 'gamma'"),
+    ("dump", _DUMP + "0 0 1.0\n", FormatError, "line 2: expected 'y x theta phi L', got 3 fields"),
+    ("dump", _DUMP + "0 0 1.0 0.0 0\n0 0 1.0 0.0 0\n", FormatError,
+     "line 3: more pixel lines than the 1x1 grid"),
+    ("dump", _DUMP + "0 a 1.0 0.0 0\n", FormatError,
+     "line 2: invalid literal for int() with base 10: 'a'"),
+    ("dump", _DUMP + "0 0 1.0 b 0\n", FormatError,
+     "line 2: could not convert string to float: 'b'"),
+    ("dump", "QHSL n=1 q=0 mapping=average\n0 0 1.0 0.0 0\n0 2 1.0 0.0 0\n", FormatError,
+     "line 3: pixel (0, 2) out of raster order, expected (0, 1)"),
+    ("dump", _DUMP + "0 0 9.9 0.0 0\n", FormatError, "line 2: theta 9.9 outside [0, pi]"),
+    ("dump", _DUMP + "0 0 nan 0.0 0\n", FormatError, "line 2: theta nan outside [0, pi]"),
+    ("dump", _DUMP + "0 0 1.0 0.0 7\n", FormatError, "line 2: bits 7 outside 0..3"),
+    ("dump", _DUMP + "0 0 1.0 nan 0\n", FormatError, "line 2: cannot convert float NaN to integer"),
+    ("dump", _DUMP + "0 0 1.0 -inf 0\n", FormatError,
+     "line 2: cannot convert float infinity to integer"),
+    ("dump", _DUMP + "0 0 1.0 1e300 0\n", FormatError,
+     "line 2: cannot convert float infinity to integer"),
+    ("dump", "", FormatError, "empty image dump"),
+    ("dump", "QHSL n=1 q=0 mapping=average\n0 0 1.0 0.0 0\n", FormatError,
+     "dump has 1 pixel lines, expected 4"),
+    ("report", "not a header\n", FormatError, "line 1: expected a '# qhsl-report ...' header"),
+    ("report", "# other n=0\n", FormatError, "line 1: expected a '# qhsl-report ...' header"),
+    ("report", "# qhsl-report n=0 q=2 mode=exact shots=- seed=- branch\n", FormatError,
+     "line 1: malformed header field 'branch'"),
+    ("report", "# qhsl-report n=0 q=2 mode=exact shots=- seed=-\n", FormatError,
+     "line 1: bad report header: 'branch'"),
+    ("report", "# qhsl-report n=0 q=2 mode=exact shots=x seed=- branch=exact\n", FormatError,
+     "line 1: bad report header: invalid literal for int() with base 10: 'x'"),
+    ("report", _REPORT + "0 0 1.0\n", FormatError,
+     "line 2: expected 'y x hue saturation lightness flag', got 3 fields"),
+    ("report", _REPORT + "# 0 0 1.0 0.5 0.5 0\n", FormatError,
+     "line 2: expected 'y x hue saturation lightness flag', got 7 fields"),
+    ("report", _REPORT + "0 0 1.0 0.5 0.5 x\n", FormatError,
+     "line 2: invalid literal for int() with base 10: 'x'"),
+    ("report", _REPORT + "0 0 1.0 y 0.5 0\n", FormatError,
+     "line 2: could not convert string to float: 'y'"),
+    ("report", "\n\n", FormatError, "empty report"),
+    ("circuit", "# qhsl-circuit v2\n", FormatError,
+     "line 1: expected header '# qhsl-circuit v1 qubits=<k>'"),
+    ("circuit", "# just a comment\n" + _CIRCUIT, FormatError,
+     "line 1: expected header '# qhsl-circuit v1 qubits=<k>'"),
+    ("circuit", _CIRCUIT + "bogus  line\n", FormatError,
+     "line 2: unrecognized instruction 'bogus  line'"),
+    ("circuit", _CIRCUIT + "FOO() t=0\n", FormatError, "line 2: unknown gate kind 'FOO'"),
+    ("circuit", _CIRCUIT + "RY() t=0\n", FormatError, "line 2: RY takes 1 parameters, got 0"),
+    ("circuit", _CIRCUIT + "RY(abc) t=0\n", FormatError,
+     "line 2: could not convert string to float: 'abc'"),
+    ("circuit", _CIRCUIT + "RY(nan) t=0\n", FormatError, "line 2: gate parameters must be finite"),
+    ("circuit", _CIRCUIT + "X() t=0 c=[1]\n", FormatError, "line 2: malformed control term '1'"),
+    ("circuit", _CIRCUIT + "X() t=0 c=[1=a  b]\n", FormatError,
+     "line 2: invalid literal for int() with base 10: 'a  b'"),
+    ("circuit", _CIRCUIT + "X() t=0 c=[1=2]\n", FormatError,
+     "line 2: control bit for qubit 1 must be 0 or 1, got 2"),
+    ("circuit", _CIRCUIT + "X() t=0 c=[0=1]\n", ControlConflictError,
+     "target qubit 0 appears in its own controls"),
+    ("circuit", _CIRCUIT + "X() t=3\n", FormatError,
+     "instruction touches qubit 3 outside register of 3"),
+    ("circuit", "", FormatError, "empty circuit file"),
+    ("table", None, FormatError, "cannot read mapping table '{path}': " + _NO_FILE),
+    ("table", "# fractions\n0.5\nx\n", FormatError,
+     "line 3: could not convert string to float: 'x'"),
+    ("map", None, FormatError, "cannot read pseudocolor map '{path}': " + _NO_FILE),
+    ("map", "0 1\n", FormatError, "line 1: expected 'lo hi hue_degrees', got 2 fields"),
+    ("map", "# levels\n0 a 10\n", FormatError,
+     "line 2: invalid literal for int() with base 10: 'a'"),
+    ("map", "0 1 x\n", FormatError, "line 1: could not convert string to float: 'x'"),
+    ("map", "# nothing\n\n", FormatError, "empty pseudocolor map"),
+    ("map", "1 3 10\n", ConfigurationError,
+     "intervals must be contiguous ascending: expected lo=0, got 1"),
+    ("rows", (2, [(4, 0, 0.0, 0.0, 0.5, False)]), FormatError,
+     "report pixel (4, 0) outside the 4x4 grid"),
+    ("rows", (1, [(0, 0, 0.0, 0.0, 0.5, False), (0, -1, 0.0, 0.0, 0.5, False)]), FormatError,
+     "report pixel (0, -1) outside the 2x2 grid"),
+]
+
+
+def _read(kind, text, tmp_path):
+    from qhsl.formats import report_rows_to_rgb_array
+
+    path = tmp_path / "input.txt"
+    if kind in ("table", "map"):
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        return (read_mapping_table if kind == "table" else read_pseudocolor_map)(path)
+    if kind == "dump":
+        (tmp_path / "short.txt").write_text("0.0 1.0\n", encoding="utf-8")
+        return parse_image(text, base_dir=tmp_path)
+    if kind == "rows":
+        return report_rows_to_rgb_array(*text)
+    return {"report": parse_report, "circuit": parse_circuit}[kind](text)
+
+
+@pytest.mark.parametrize("kind, text, error, message", READER_ERRORS)
+def test_reader_error_messages(tmp_path, kind, text, error, message):
+    with pytest.raises(QhslError) as info:
+        _read(kind, text, tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(path=tmp_path / "input.txt")

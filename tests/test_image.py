@@ -65,6 +65,15 @@ def test_image_validation():
         QhslImage(-1, 2, ((chroma, code),))
 
 
+def test_lightness_registers_above_62_qubits_are_refused():
+    # at q=62 a code plus a shift below 2**q still fits in int64
+    assert QhslImage.from_arrays(0, 62, [1.0], [0], [2 ** 62 - 1]).codes.tolist() == [2 ** 62 - 1]
+    with pytest.raises(ValueError, match=r"^q=63 exceeds the limit of 62 lightness qubits$"):
+        QhslImage.from_arrays(0, 63, [1.0], [0], [0])
+    with pytest.raises(ValueError, match="q=100"):
+        QhslImage(0, 100, ((ChromaState(1.0, 0.0), LightnessCode(100, 0)),))
+
+
 # ---------------------------------------------------------------------------
 # Structured amplitudes
 
