@@ -57,10 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _infer_n(height: int, width: int) -> int:
-    n = 0
-    while 2 ** n < max(height, width, 1):
-        n += 1
-    return n
+    return (max(height, width, 1) - 1).bit_length()
 
 
 def _cmd_encode(args) -> int:
@@ -99,29 +96,29 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
-def _region_from_args(args) -> RegionConstraint | None:
+def _region_from_args(args, q: int) -> RegionConstraint | None:
     chosen = [name for name in ("lightness_leq", "lightness_geq", "lightness_between")
               if getattr(args, name) is not None]
     if len(chosen) > 1:
         raise UsageError("at most one lightness region flag may be given")
-    lightness = None
+    region = None
     if args.lightness_leq is not None:
-        lightness = (0, args.lightness_leq)
+        region = RegionConstraint.lightness_leq(args.lightness_leq)
     elif args.lightness_geq is not None:
-        lightness = (args.lightness_geq, 2 ** args.region_q - 1)
+        region = RegionConstraint.lightness_geq(args.lightness_geq, q)
     elif args.lightness_between is not None:
-        lightness = tuple(args.lightness_between)
+        region = RegionConstraint.lightness_between(*args.lightness_between)
     rows = tuple(args.rows) if args.rows is not None else None
     cols = tuple(args.cols) if args.cols is not None else None
-    if lightness is None and rows is None and cols is None:
-        return None
-    return RegionConstraint(lightness=lightness, y_range=rows, x_range=cols)
+    if rows is None and cols is None:
+        return region
+    return RegionConstraint(lightness=None if region is None else region.lightness,
+                            y_range=rows, x_range=cols)
 
 
 def _cmd_transform(args) -> int:
     img = load_dump(args.input)
-    args.region_q = img.q
-    region = _region_from_args(args)
+    region = _region_from_args(args, img.q)
     ops = [name for name in ("hue_shift", "sat_shift", "lighten", "darken")
            if getattr(args, name) is not None]
     if args.invert:

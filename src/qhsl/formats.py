@@ -428,7 +428,7 @@ def _line_error(ln: int, error) -> FormatError:
 def _read_text(path, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise FormatError(f"cannot read {what} {os.fspath(path)!r}: {exc}") from exc
 
 

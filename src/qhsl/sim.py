@@ -6,6 +6,10 @@ which may require either bit value per control qubit.  Two non-unitary
 "set" gates force a target qubit to a basis value and are only legal when
 the target already holds a basis value on the controlled subspace.
 
+The ``_KINDS`` table is the one place a gate kind is defined: its
+parameter count, its 2x2 matrix, the gates that undo it and its action on
+a basis index.  ``Gate`` and ``run_on_basis_array`` read it.
+
 Arithmetic circuits (ripple-carry adder, comparator) are built from
 controlled X gates, so they can also be evaluated directly on classical
 basis states via :func:`run_on_basis` without touching amplitudes.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,14 +32,47 @@ from .errors import (
 
 SET_TOLERANCE = 1e-9
 
-_PARAM_COUNTS = {
-    "RY": 1, "RZ": 1, "R": 2,
-    "H": 0, "X": 0, "I": 0,
-    "SET0": 0, "SET1": 0,
-    "U1": 0, "U2": 0,
-}
-
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+
+
+def _ry_rows(dtheta: float) -> list:
+    c, s = math.cos(0.5 * dtheta), math.sin(0.5 * dtheta)
+    return [[c, -s], [s, c]]
+
+
+def _r_rows(dphi: float, dtheta: float) -> list:
+    c, s = math.cos(0.5 * dtheta), math.sin(0.5 * dtheta)
+    ph = np.exp(1j * dphi)
+    return [[c, -s], [ph * s, ph * c]]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One gate kind: ``rows`` (the 2x2 matrix) and ``inverse`` take the
+    gate's parameters, ``on_basis`` maps (basis indices, target bit) to
+    indices.  None marks a kind that is not unitary, has no inverse in the
+    vocabulary, or can create superpositions."""
+
+    params: int
+    rows: Callable[..., list] | None = None
+    inverse: Callable[..., tuple["Gate", ...]] | None = None
+    on_basis: Callable | None = None
+
+
+_KINDS = {
+    "RY": _Kind(1, _ry_rows, lambda dtheta: (Gate.ry(-dtheta),)),
+    "RZ": _Kind(1, lambda dphi: [[1.0, 0.0], [0.0, np.exp(1j * dphi)]],
+                lambda dphi: (Gate.rz(-dphi),)),
+    "R": _Kind(2, _r_rows, lambda dphi, dtheta: (Gate.rz(-dphi), Gate.ry(-dtheta))),
+    "H": _Kind(0, lambda: [[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], lambda: (Gate.h(),)),
+    "X": _Kind(0, lambda: [[0.0, 1.0], [1.0, 0.0]], lambda: (Gate.x(),),
+               lambda basis, bit: basis ^ bit),
+    "I": _Kind(0, lambda: [[1.0, 0.0], [0.0, 1.0]], lambda: (Gate.i(),), lambda basis, bit: basis),
+    "SET0": _Kind(0, on_basis=lambda basis, bit: basis & ~bit),
+    "SET1": _Kind(0, on_basis=lambda basis, bit: basis | bit),
+    "U1": _Kind(0, lambda: [[_SQRT1_2, _SQRT1_2], [-_SQRT1_2, _SQRT1_2]]),
+    "U2": _Kind(0, lambda: [[_SQRT1_2, -1j * _SQRT1_2], [-1j * _SQRT1_2, _SQRT1_2]]),
+}
 
 
 @dataclass(frozen=True)
@@ -51,11 +88,12 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _PARAM_COUNTS:
+        spec = _KINDS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         params = tuple(float(p) for p in self.params)
-        if len(params) != _PARAM_COUNTS[self.kind]:
-            raise ValueError(f"{self.kind} takes {_PARAM_COUNTS[self.kind]} parameters, got {len(params)}")
+        if len(params) != spec.params:
+            raise ValueError(f"{self.kind} takes {spec.params} parameters, got {len(params)}")
         if any(not math.isfinite(p) for p in params):
             raise ValueError("gate parameters must be finite")
         object.__setattr__(self, "params", params)
@@ -102,48 +140,21 @@ class Gate:
 
     @property
     def is_unitary(self) -> bool:
-        return self.kind not in ("SET0", "SET1")
+        return _KINDS[self.kind].rows is not None
 
     def matrix(self) -> np.ndarray:
         """2x2 matrix of a unitary gate kind."""
-        k = self.kind
-        if k == "RY":
-            half = 0.5 * self.params[0]
-            c, s = math.cos(half), math.sin(half)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        if k == "RZ":
-            return np.array([[1.0, 0.0], [0.0, np.exp(1j * self.params[0])]], dtype=complex)
-        if k == "R":
-            dphi, dtheta = self.params
-            half = 0.5 * dtheta
-            c, s = math.cos(half), math.sin(half)
-            ph = np.exp(1j * dphi)
-            return np.array([[c, -s], [ph * s, ph * c]], dtype=complex)
-        if k == "H":
-            return np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
-        if k == "X":
-            return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        if k == "I":
-            return np.eye(2, dtype=complex)
-        if k == "U1":
-            return np.array([[_SQRT1_2, _SQRT1_2], [-_SQRT1_2, _SQRT1_2]], dtype=complex)
-        if k == "U2":
-            return np.array([[_SQRT1_2, -1j * _SQRT1_2], [-1j * _SQRT1_2, _SQRT1_2]], dtype=complex)
-        raise ValueError(f"{k} has no unitary matrix")
+        rows = _KINDS[self.kind].rows
+        if rows is None:
+            raise ValueError(f"{self.kind} has no unitary matrix")
+        return np.array(rows(*self.params), dtype=complex)
 
     def inverse_sequence(self) -> tuple["Gate", ...]:
         """Gates that undo this one, in application order."""
-        k = self.kind
-        if k == "RY":
-            return (Gate.ry(-self.params[0]),)
-        if k == "RZ":
-            return (Gate.rz(-self.params[0]),)
-        if k == "R":
-            dphi, dtheta = self.params
-            return (Gate.rz(-dphi), Gate.ry(-dtheta))
-        if k in ("H", "X", "I"):
-            return (self,)
-        raise ValueError(f"{k} has no inverse within the gate vocabulary")
+        make = _KINDS[self.kind].inverse
+        if make is None:
+            raise ValueError(f"{self.kind} has no inverse within the gate vocabulary")
+        return make(*self.params)
 
 
 @dataclass(frozen=True)
@@ -285,14 +296,6 @@ class StateVector:
         return measure_probabilities(self, qubit)
 
 
-def _check_instruction(num_qubits: int, instr: Instruction) -> None:
-    if instr.target >= num_qubits:
-        raise ValueError(f"target qubit {instr.target} outside register of {num_qubits}")
-    for q in instr.controls.qubits:
-        if q >= num_qubits:
-            raise ValueError(f"control qubit {q} outside register of {num_qubits}")
-
-
 def _apply_inplace(arr: np.ndarray, num_qubits: int, instr: Instruction) -> None:
     # arr has shape [2]*num_qubits with qubit k on axis (num_qubits-1-k)
     index: list = [slice(None)] * num_qubits
@@ -306,7 +309,7 @@ def _apply_inplace(arr: np.ndarray, num_qubits: int, instr: Instruction) -> None
     index[target_axis] = 1
     half1 = arr[(*index, Ellipsis)]
     gate = instr.gate
-    if gate.kind in ("SET0", "SET1"):
+    if not gate.is_unitary:
         overlap = np.minimum(np.abs(half0), np.abs(half1))
         worst = float(overlap.max()) if overlap.size else 0.0
         if worst > SET_TOLERANCE:
@@ -334,11 +337,7 @@ def _apply_inplace(arr: np.ndarray, num_qubits: int, instr: Instruction) -> None
 def apply_gate(state: StateVector, gate: Gate, target: int,
                controls: ControlPattern = EMPTY_PATTERN) -> StateVector:
     """Apply one (controlled) gate and return the new state."""
-    instr = Instruction(gate, target, controls)
-    _check_instruction(state.num_qubits, instr)
-    arr = state.amplitudes.copy().reshape([2] * state.num_qubits)
-    _apply_inplace(arr, state.num_qubits, instr)
-    return StateVector(state.num_qubits, arr.reshape(-1))
+    return run_circuit(state, Circuit(state.num_qubits, (Instruction(gate, target, controls),)))
 
 
 def run_circuit(initial: StateVector, circuit: Circuit) -> StateVector:
@@ -391,32 +390,19 @@ def run_on_basis_array(circuit: Circuit, basis: np.ndarray) -> np.ndarray:
     if out.size and (out.min() < 0 or out.max() >= 2 ** circuit.num_qubits):
         raise ValueError("basis index outside register")
     for instr in circuit.instructions:
-        kind = instr.gate.kind
-        if kind == "I":
-            continue
+        act = _KINDS[instr.gate.kind].on_basis
+        if act is None:
+            raise NonClassicalGateError(f"{instr.gate.kind} cannot be evaluated on a basis state")
         hit = np.ones(out.shape, dtype=bool)
         for q, b in instr.controls.terms:
             hit &= ((out >> q) & one) == b
-        bit = one << instr.target
-        if kind == "X":
-            out[hit] ^= bit
-        elif kind == "SET1":
-            out[hit] |= bit
-        elif kind == "SET0":
-            out[hit] &= ~bit
-        else:
-            raise NonClassicalGateError(f"{kind} cannot be evaluated on a basis state")
+        out[hit] = act(out[hit], one << instr.target)
     return out
 
 
 def measure_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
     """Marginal probabilities (p0, p1) of one qubit."""
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} outside register")
-    probs = np.abs(state.amplitudes) ** 2
-    mask = (np.arange(probs.size) >> qubit) & 1
-    p1 = float(probs[mask == 1].sum())
-    p0 = float(probs[mask == 0].sum())
+    p0, p1 = joint_probabilities(state, [qubit]).tolist()
     total = p0 + p1
     return p0 / total, p1 / total
 

@@ -141,8 +141,8 @@ def saturation_shift(img: QhslImage, dtheta: float,
                     steps=_rotate_phases(img.phase_steps, math.pi, selected & flip))
 
 
-def _check_shift(img: QhslImage, k: int) -> int:
-    top = 2 ** img.q - 1
+def _check_shift(q: int, k: int) -> int:
+    top = 2 ** q - 1
     if not 0 <= k <= top:
         raise ValueError(f"k={k} outside 0..{top}")
     return top
@@ -150,14 +150,14 @@ def _check_shift(img: QhslImage, k: int) -> int:
 
 def lightness_add(img: QhslImage, k: int, region: RegionConstraint | None = None) -> QhslImage:
     """Add k to lightness codes, saturating at the register maximum."""
-    top = _check_shift(img, k)
+    top = _check_shift(img.q, k)
     return _replace(img, codes=np.where(_selection(img, region),
                                         np.minimum(img.codes + k, top), img.codes))
 
 
 def lightness_sub(img: QhslImage, k: int, region: RegionConstraint | None = None) -> QhslImage:
     """Subtract k from lightness codes, saturating at zero."""
-    _check_shift(img, k)
+    _check_shift(img.q, k)
     return _replace(img, codes=np.where(_selection(img, region),
                                         np.maximum(img.codes - k, 0), img.codes))
 
@@ -212,12 +212,9 @@ def region_control_patterns(layout: RegisterLayout, region: RegionConstraint) ->
     def alternatives(bounds, width: int, offset: int) -> list[ControlPattern]:
         if bounds is None:
             return [EMPTY_PATTERN]
-        lo, hi = bounds
-        if hi >= 2 ** width:
-            raise ValueError(f"interval [{lo}, {hi}] does not fit in {width} bits")
-        if (lo, hi) == (0, 2 ** width - 1):
+        if bounds == (0, 2 ** width - 1):
             return [EMPTY_PATTERN]
-        return [p.shifted(offset) for p in interval_control_patterns(lo, hi, width)]
+        return [p.shifted(offset) for p in interval_control_patterns(*bounds, width)]
 
     lights = alternatives(region.lightness, layout.q, 2 * layout.n)
     ys = alternatives(region.y_range, layout.n, layout.n)
@@ -265,13 +262,14 @@ def invert_color_circuit(layout: RegisterLayout) -> Circuit:
     return Circuit(layout.total_qubits, tuple(instrs))
 
 
-def _lightness_workspace(layout: RegisterLayout) -> tuple[list[int], int, list[int], int]:
-    base = layout.total_qubits
-    q = layout.q
-    addend = list(range(base, base + q))
-    carry = base + q
-    work = list(range(base + q + 1, base + 2 * q + 1))
-    return addend, carry, work, base + 2 * q + 1
+def _lightness_circuit(layout: RegisterLayout, k: int, saturating) -> Circuit:
+    _check_shift(layout.q, k)
+    base, q = layout.total_qubits, layout.q
+    total = base + 2 * q + 1
+    if q == 0 or k == 0:
+        return Circuit(total)
+    return saturating(q, k, list(layout.lightness_qubits), list(range(base, base + q)), base + q,
+                      list(range(base + q + 1, total)), total)
 
 
 def lightness_add_circuit(layout: RegisterLayout, k: int) -> Circuit:
@@ -281,26 +279,12 @@ def lightness_add_circuit(layout: RegisterLayout, k: int) -> Circuit:
     constant, a carry qubit, and q carry-chain qubits.  All workspace
     returns to |0>, so the image state stays disentangled from it.
     """
-    top = 2 ** layout.q - 1
-    if not 0 <= k <= top:
-        raise ValueError(f"k={k} outside 0..{top}")
-    addend, carry, work, total = _lightness_workspace(layout)
-    if layout.q == 0 or k == 0:
-        return Circuit(total)
-    return saturating_add_circuit(layout.q, k, list(layout.lightness_qubits),
-                                  addend, carry, work, total)
+    return _lightness_circuit(layout, k, saturating_add_circuit)
 
 
 def lightness_sub_circuit(layout: RegisterLayout, k: int) -> Circuit:
     """Circuit form of lightness_sub (complement, add, complement back)."""
-    top = 2 ** layout.q - 1
-    if not 0 <= k <= top:
-        raise ValueError(f"k={k} outside 0..{top}")
-    addend, carry, work, total = _lightness_workspace(layout)
-    if layout.q == 0 or k == 0:
-        return Circuit(total)
-    return saturating_sub_circuit(layout.q, k, list(layout.lightness_qubits),
-                                  addend, carry, work, total)
+    return _lightness_circuit(layout, k, saturating_sub_circuit)
 
 
 def comparator_region_circuit(layout: RegisterLayout, region: RegionConstraint,
@@ -477,29 +461,21 @@ def pseudocolor_circuit(img: QhslImage, pmap: PseudocolorMap,
     dsat = SATURATION_HIGH - float(img.theta[0])
     mid = quantize_lightness(0.5, img.q, img.mapping, img.table)
 
-    steps: list[Circuit] = []
-    for i, (lo, hi, _) in enumerate(pmap.entries):
-        if selector == "patterns":
-            instrs = tuple(Instruction(Gate.rz(deltas[i]), cq, p.shifted(offset))
-                           for p in leq_control_patterns(hi, layout.q))
-            steps.append(Circuit(layout.total_qubits, instrs))
-        else:
-            body = Circuit(layout.total_qubits, (Instruction(Gate.rz(deltas[i]), cq),))
-            steps.append(comparator_region_circuit(layout, RegionConstraint.lightness_leq(hi),
-                                                   body, qubit_budget))
-    for j, (lo, hi, _) in enumerate(pmap.entries):
-        triple = (Instruction(Gate.rz(-suffixes[j]), cq),
-                  Instruction(Gate.ry(dsat), cq),
-                  Instruction(Gate.rz(suffixes[j]), cq))
-        if selector == "patterns":
-            instrs = tuple(Instruction(g.gate, g.target, p.shifted(offset))
-                           for p in interval_control_patterns(lo, hi, layout.q)
-                           for g in triple)
-            steps.append(Circuit(layout.total_qubits, instrs))
-        else:
-            body = Circuit(layout.total_qubits, triple)
-            steps.append(comparator_region_circuit(layout, RegionConstraint.lightness_between(lo, hi),
-                                                   body, qubit_budget))
+    def gated(gates: list[Gate], patterns, region: RegionConstraint) -> Circuit:
+        # the chroma gates under a lightness selection: control patterns or comparator flags
+        if selector == "comparators":
+            body = Circuit(layout.total_qubits, tuple(Instruction(g, cq) for g in gates))
+            return comparator_region_circuit(layout, region, body, qubit_budget)
+        return Circuit(layout.total_qubits, tuple(Instruction(g, cq, p.shifted(offset))
+                                                  for p in patterns for g in gates))
+
+    steps = [gated([Gate.rz(delta)], leq_control_patterns(hi, layout.q),
+                   RegionConstraint.lightness_leq(hi))
+             for delta, (_, hi, _) in zip(deltas, pmap.entries)]
+    steps += [gated([Gate.rz(-suffix), Gate.ry(dsat), Gate.rz(suffix)],
+                    interval_control_patterns(lo, hi, layout.q),
+                    RegionConstraint.lightness_between(lo, hi))
+              for suffix, (lo, hi, _) in zip(suffixes, pmap.entries)]
     sets = tuple(Instruction(Gate.set1() if (mid.bits >> j) & 1 else Gate.set0(), qb)
                  for j, qb in enumerate(layout.lightness_qubits))
     steps.append(Circuit(layout.total_qubits, sets))

@@ -97,6 +97,15 @@ def test_decode_missing_input(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_decode_names_an_unreadable_table_reference(tmp_path, capsys):
+    dump = tmp_path / "nul.dump"
+    dump.write_text("QHSL n=0 q=1 mapping=manual:a\x00b\n0 0 1.0 0 0\n", encoding="utf-8")
+    assert main(["decode", str(dump), str(tmp_path / "o.ppm")]) == 2
+    table = str(tmp_path / "a\x00b")
+    assert capsys.readouterr().err == \
+        f"qhsl decode: cannot read mapping table {table!r}: embedded null byte\n"
+
+
 def test_encode_manual_mapping(tmp_path):
     src = green_ppm(tmp_path / "g.ppm")
     table = tmp_path / "table.txt"
