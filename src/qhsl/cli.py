@@ -1,8 +1,8 @@
 """Command line surface tying the pipeline together.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 backend
-verification failure.  Every sampled operation takes --seed, so pipelines
-are byte-for-byte reproducible.
+Exit codes: 0 success, 1 usage error, 2 data/format error or out of memory,
+3 backend verification failure.  Every sampled operation takes --seed, so
+pipelines are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -266,6 +266,10 @@ def main(argv=None) -> int:
         return 1
     except (QhslError, OSError, ValueError) as exc:
         print(f"qhsl {args.subcommand}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"qhsl {args.subcommand}: out of memory{f': {exc}' if str(exc) else ''}",
+              file=sys.stderr)
         return 2
 
 

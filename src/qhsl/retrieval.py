@@ -31,7 +31,7 @@ from .color import (
     phase_steps_array,
 )
 from .errors import InconsistentStatisticsError, NonBasisLightnessError
-from .image import QhslImage, RegisterLayout, structured_state
+from .image import QhslImage, RegisterLayout
 from .sim import Gate, StateVector, apply_gate, joint_probabilities
 
 EXACT_HUE_FLOOR = 1e-6
@@ -94,6 +94,20 @@ def _chroma_expectations(a0: complex, a1: complex) -> tuple[float, float, float]
     v = 2.0 * cross.real / norm2
     w = 2.0 * cross.imag / norm2
     return k, v, w
+
+
+def _chroma_expectations_at(theta: float, phi: float) -> tuple[float, float, float]:
+    """_chroma_expectations(*bloch_amplitudes(theta, phi)) without complex objects,
+    repeating CPython's complex arithmetic to the signed zero: complex * float
+    promotes the float to (s, 0.0), abs is C hypot, and conjugate(a0) is (a0, -0.0)."""
+    half = 0.5 * theta
+    a0, s = math.cos(half), math.sin(half)
+    c, d = math.cos(phi), math.sin(phi)
+    re, im = c * s - d * 0.0, c * 0.0 + d * s
+    p0, p1 = abs(a0) ** 2, abs(complex(re, im)) ** 2
+    norm2 = p0 + p1
+    return ((p0 - p1) / norm2, 2.0 * (a0 * re - -0.0 * im) / norm2,
+            2.0 * (a0 * im + -0.0 * re) / norm2)
 
 
 def measure_chroma(source, mode: str = "exact", shots: int | None = None,
@@ -322,17 +336,72 @@ def _chroma_columns(kvw: np.ndarray, budgets: np.ndarray | None) -> dict[str, np
             "phi_3sigma": 6.0 * sigma / np.maximum(radius, EXACT_HUE_FLOOR)}
 
 
+# numpy's SeedSequence hash constants, after O'Neill's seed_seq design
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_SEED_BLOCK = 4096  # children whose state words are computed at once
+
+
+class _StateWords:
+    """Seed sequence whose generate_state returns precomputed words.
+
+    The oracle branch registers it as numpy's ISeedSequence when it runs, so
+    that importing qhsl does not import numpy.random.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _entropy_words(entropy) -> int:
+    """Count of the uint32 words numpy assembles from SeedSequence entropy."""
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, -(-int(entropy).bit_length() // 32))
+    return sum(map(_entropy_words, entropy))
+
+
+def _hash(values: np.ndarray, hash_const: int, mult: int, rows: int) -> np.ndarray:
+    """SeedSequence's hash of uint32 ``values`` into ``rows`` rows, hashed one after
+    another: row j uses the hash constant hash_const * mult**j."""
+    consts = np.array([hash_const * pow(mult, j, 2 ** 32) % 2 ** 32 for j in range(rows + 1)],
+                      dtype=np.uint32)[:, None]
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> np.uint32(16))
+
+
+def _spawned_states(root: np.random.SeedSequence, count: int):
+    """Yield c.generate_state(4, np.uint64) for each c in root.spawn(count), in bulk.
+
+    Child i's entropy is the root's, zero-padded to the 4-word pool, then i.
+    So its pool is the root's mixed pool with the word i mixed in, by a hash
+    constant past the root's 16 + 4 * (entropy words beyond 4) steps.
+    """
+    steps = 16 + 4 * max(0, _entropy_words(root.entropy) - 4)
+    for start in range(0, count, _SEED_BLOCK):
+        keys = np.arange(start, min(start + _SEED_BLOCK, count), dtype=np.uint32)
+        hashed = _hash(keys, _INIT_A * pow(_MULT_A, steps, 2 ** 32), _MULT_A, 4)
+        pool = root.pool[:, None] * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
+        pool ^= pool >> np.uint32(16)
+        state = _hash(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 8)
+        yield from state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
 def _structured_statistics(img: QhslImage, mode: str, shots, seed, branch):
     """(3, pixels) k/v/w array and per-pixel shot budgets (None when exact)."""
-    kvw = np.array([_chroma_expectations(a0, a1)
-                    for a0, a1 in structured_state(img).all_chroma_amplitudes()]).T
+    kvw = np.array([_chroma_expectations_at(theta, phi)
+                    for theta, phi in zip(img.theta.tolist(), img.phi.tolist())]).T
     pixel_count = kvw.shape[1]
     if mode == "exact":
         return kvw, None
     if branch == "oracle":
-        # independent per-pixel streams split off the master seed
+        # pixel i draws from child i of SeedSequence(seed).spawn(pixel_count)
         # (three scalar draws cost less than one call over a 3-element array)
-        streams = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(pixel_count))
+        np.random.bit_generator.ISeedSequence.register(_StateWords)
+        words = _spawned_states(np.random.SeedSequence(seed), pixel_count)
+        streams = map(np.random.Generator, map(np.random.PCG64, map(_StateWords, words)))
         zeros = [[rng.binomial(shots, p0) for p0 in row]
                  for rng, row in zip(streams, _zero_probability(kvw).T.tolist())]
         return _estimates(np.array(zeros).T, shots), np.full(pixel_count, shots)

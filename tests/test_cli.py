@@ -421,3 +421,25 @@ def test_retrieve_refuses_shot_totals_past_int64(tmp_path, green_dump, capsys, s
     assert capsys.readouterr().err == (
         f"qhsl retrieve: {shots} shots per basis on 4 pixels exceed 2**63 - 1 samples\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, callee, error, message", [
+    (["verify", "{dump}", "--qubit-budget", "40"], "simulate_preparation",
+     MemoryError("Unable to allocate 16.0 TiB"),
+     "qhsl verify: out of memory: Unable to allocate 16.0 TiB"),
+    (["retrieve", "{dump}", "{out}", "--backend", "dense", "--qubit-budget", "40"],
+     "simulate_preparation", MemoryError(), "qhsl retrieve: out of memory"),
+    (["retrieve", "{dump}", "{out}"], "retrieve_image", MemoryError(),
+     "qhsl retrieve: out of memory"),
+])
+def test_memory_error_is_exit_2(tmp_path, green_dump, capsys, monkeypatch, argv, callee, error,
+                                message):
+    # the callee raises instead of allocating, so no test holds a large state
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(f"qhsl.cli.{callee}", exhausted)
+    out = tmp_path / "r.report"
+    assert main([a.format(dump=green_dump, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err == f"{message}\n"
+    assert not out.exists()
