@@ -5,10 +5,10 @@ the stdlib and numpy alone.  Everything else is line-oriented text.  All
 writers go through an atomic replace so a crash never leaves a
 half-written file.
 
-Angles in image dumps are printed with 12 significant digits and then
-stabilized: the printed string is re-parsed and re-canonicalized until
-it is a fixed point of that cycle, so dumping a parsed dump reproduces
-it byte for byte.
+Angles in image dumps are printed once with 12 significant digits, a text
+that reads back to an angle printing the same, so dumping a parsed dump
+reproduces it byte for byte.  A phase whose text reads back at 2*pi wraps,
+so phases near 2*pi are printed again until the text is a fixed point.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .color import (
     AVERAGE,
     MANUAL,
+    PHASE_STEP,
     canonical_phase,
     decode_chroma_arrays,
     hsl_array_to_rgb,
@@ -373,16 +374,18 @@ def save_image(path, source) -> None:
     write_raster(path, (report_to_rgb_array if report else image_to_rgb_array)(source))
 
 
-def _stable_angle(value: float, canonical) -> str:
-    s = "%.12g" % value
-    t = "%.12g" % canonical(float(s))
+# a phase's text reads back below 2*pi under this; a theta's reads back as itself or snaps to pi
+_PHASE_WRAP = 2.0 * math.pi - 1e-10
+# dump lines converted at a time, which bounds the Python objects held at once
+_BODY_BLOCK = 2048
+
+
+def _stable_phase(phi: float) -> str:
+    s = "%.12g" % phi
+    t = "%.12g" % canonical_phase(float(s))
     while t != s:
-        s, t = t, "%.12g" % canonical(float(t))
+        s, t = t, "%.12g" % canonical_phase(float(t))
     return s
-
-
-def _snap_theta(value: float) -> float:
-    return min(value, math.pi)
 
 
 def format_image(img: QhslImage) -> str:
@@ -397,18 +400,20 @@ def format_image(img: QhslImage) -> str:
     else:
         mapping = "average"
     lines = [f"QHSL n={img.n} q={img.q} mapping={mapping}"]
-    side = img.side
-    for i, (theta, phi, bits) in enumerate(zip(img.theta.tolist(), img.phi.tolist(),
-                                               img.codes.tolist())):
-        lines.append(f"{i // side} {i % side} {_stable_angle(theta, _snap_theta)} "
-                     f"{_stable_angle(phi, canonical_phase)} {bits}")
+    pos = np.arange(4 ** img.n)
+    blocks = (np.split(column, range(_BODY_BLOCK, len(pos), _BODY_BLOCK)) for column in
+              (pos >> img.n, pos & (img.side - 1), img.theta, img.phi, img.codes))
+    for y, x, theta, phi, bits in zip(*blocks):
+        phis = ["%.12g" % p if p < _PHASE_WRAP else _stable_phase(p) for p in phi.tolist()]
+        rows = zip(y.tolist(), x.tolist(), theta.tolist(), phis, bits.tolist())
+        lines.append("\n".join(map("%d %d %.12g %s %d".__mod__, rows)))
     return "\n".join(lines) + "\n"
 
 
-def _lines(text: str, comments: bool = False, split: bool = True):
-    """Yield (line number, tokens) for each non-blank line, or the stripped line if
-    not ``split``; with ``comments``, lines starting with '#' are skipped too."""
-    for ln, raw in enumerate(text.splitlines(), start=1):
+def _lines(raw_lines: list[str], comments: bool = False, split: bool = True):
+    """Yield (line number, tokens) for each non-blank one of a text's ``splitlines()``, or
+    the stripped line if not ``split``; with ``comments``, '#' lines are skipped too."""
+    for ln, raw in enumerate(raw_lines, start=1):
         line = raw.split() if split else raw.strip()
         # line[0][0] is the first character either way
         if line and not (comments and line[0][0] == "#"):
@@ -442,6 +447,36 @@ def _parse_header_fields(tokens: list[str], ln: int) -> dict[str, str]:
     return fields
 
 
+_THETA_MAX = math.pi + 1e-9  # dump thetas up to this bound snap to pi
+# below this magnitude, phase_steps_array rounds onto the grid exactly as phase_steps does
+_PHASE_LIMIT = 2.0 ** 60 * PHASE_STEP
+
+
+def _bulk_pixels(body: list[str], n: int, top: int):
+    """(theta, phase steps, codes) of a dump body of one valid line per pixel in raster
+    order, else None: parse_image's line loop then reads it and raises any error."""
+    if len(body) != 4 ** n:
+        return None
+    columns = []
+    for start in range(0, 4 ** n, _BODY_BLOCK):
+        block = body[start:start + _BODY_BLOCK]
+        if set(map(len, map(str.split, block))) != {5}:
+            return None
+        tokens = " ".join(block).split()  # each line's split, back to back
+        try:
+            y, x, bits = (np.fromiter(map(int, tokens[i::5]), np.int64) for i in (0, 1, 4))
+            th, phi = (np.fromiter(map(float, tokens[i::5]), np.float64) for i in (2, 3))
+        except (ValueError, OverflowError):
+            return None
+        pos = np.arange(start, start + len(block))
+        if not (np.array_equal(y, pos >> n) and np.array_equal(x, pos & (2 ** n - 1))
+                and np.all((th >= 0.0) & (th <= _THETA_MAX) & (np.abs(phi) < _PHASE_LIMIT))
+                and np.all((bits >= 0) & (bits < top))):
+            return None
+        columns.append((np.minimum(th, math.pi), phase_steps_array(phi), bits))
+    return [np.concatenate(column) for column in zip(*columns)]
+
+
 def parse_image(text: str, base_dir=None) -> QhslImage:
     """Parse the dump format back into an image.
 
@@ -449,7 +484,8 @@ def parse_image(text: str, base_dir=None) -> QhslImage:
     A manual mapping's table reference is resolved relative to
     ``base_dir`` (the dump's directory when loading from a file).
     """
-    lines = _lines(text)
+    raw_lines = text.splitlines()
+    lines = _lines(raw_lines)
     ln, tokens = _header_line(lines, "image dump")
     if tokens[0] != "QHSL":
         raise _line_error(ln, "expected a 'QHSL n=... q=... mapping=...' header")
@@ -482,7 +518,10 @@ def parse_image(text: str, base_dir=None) -> QhslImage:
         raise _line_error(ln, f"unknown mapping {spec!r}")
 
     side = 2 ** n
-    count, top, theta_max = side * side, 2 ** q, math.pi + 1e-9
+    count, top = side * side, 2 ** q
+    pixels = _bulk_pixels(raw_lines[ln:], n, top)
+    if pixels is not None:
+        return QhslImage.from_arrays(n, q, *pixels, mapping, table, ref)
     thetas, steps, codes = [], [], []
     for index, (ln, tokens) in enumerate(lines):
         if len(tokens) != 5:
@@ -497,7 +536,7 @@ def parse_image(text: str, base_dir=None) -> QhslImage:
         if (y, x) != divmod(index, side):
             raise _line_error(ln, f"pixel ({y}, {x}) out of raster order, expected "
                                   f"({index // side}, {index % side})")
-        if not 0.0 <= theta <= theta_max:
+        if not 0.0 <= theta <= _THETA_MAX:
             raise _line_error(ln, f"theta {theta} outside [0, pi]")
         if not 0 <= bits < top:
             raise _line_error(ln, f"bits {bits} outside 0..{top - 1}")
@@ -559,7 +598,7 @@ def _parse_instruction(line: str) -> Instruction:
 
 def parse_circuit(text: str) -> Circuit:
     # instructions are matched whole, since their parameter lists hold spaces
-    lines = _lines(text, split=False)
+    lines = _lines(text.splitlines(), split=False)
     ln, line = _header_line(lines, "circuit file")
     m = _CIRCUIT_HEADER_RE.match(line)
     if not m:
@@ -588,7 +627,7 @@ def load_circuit(path) -> Circuit:
 def read_mapping_table(path) -> tuple[float, ...]:
     """Read a lightness mapping table: whitespace-separated fractions."""
     values: list[float] = []
-    for ln, tokens in _lines(_read_text(path, "mapping table"), comments=True):
+    for ln, tokens in _lines(_read_text(path, "mapping table").splitlines(), comments=True):
         try:
             values += map(float, tokens)
         except ValueError as exc:
@@ -603,7 +642,7 @@ def write_mapping_table(path, table) -> None:
 def read_pseudocolor_map(path) -> PseudocolorMap:
     """Read a pseudocolor map: one `lo hi hue_degrees` interval per line."""
     entries = []
-    for ln, tokens in _lines(_read_text(path, "pseudocolor map"), comments=True):
+    for ln, tokens in _lines(_read_text(path, "pseudocolor map").splitlines(), comments=True):
         if len(tokens) != 3:
             raise _line_error(ln, f"expected 'lo hi hue_degrees', got {len(tokens)} fields")
         try:
@@ -631,7 +670,7 @@ def format_report(report: RetrievalReport) -> str:
 
 def parse_report(text: str) -> dict:
     """Parse a report into {'n', 'q', 'mode', 'shots', 'seed', 'branch', 'rows'}."""
-    lines = _lines(text)
+    lines = _lines(text.splitlines())
     ln, tokens = _header_line(lines, "report")
     head = " ".join(tokens).lstrip("#").split()
     if tokens[0][0] != "#" or not head or head[0] != "qhsl-report":

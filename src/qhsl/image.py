@@ -15,6 +15,7 @@ makes large images and exact retrieval cheap.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -37,6 +38,8 @@ DENSE_QUBIT_BUDGET = 26
 MAX_IMAGE_N = 11
 # widest lightness register whose codes, plus any shift below 2**q, fit in int64
 _MAX_Q = 62
+# peak memory of `qhsl verify` in states: dense, structured reference, difference, abs
+_DENSE_PEAK_FACTOR = 3.5
 
 
 def check_image_size(n: int, context: str = "") -> None:
@@ -274,13 +277,24 @@ def preparation_circuit(img: QhslImage) -> Circuit:
     return Circuit(layout.total_qubits, tuple(instrs))
 
 
+def _check_dense(qubits: int, qubit_budget: int, what: str) -> None:
+    """Refuse a dense state above the budget, or peaking above physical memory if known."""
+    if qubits > qubit_budget:
+        raise QubitBudgetError(f"{what} {qubits} qubits exceeds the budget of {qubit_budget}")
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    peak = 16 * 2 ** qubits * _DENSE_PEAK_FACTOR
+    if peak > physical:
+        raise QubitBudgetError(f"{what} {qubits} qubits needs about {peak / 2 ** 30:.3g} GiB, "
+                               f"above the {physical / 2 ** 30:.3g} GiB of physical memory")
+
+
 def simulate_preparation(img: QhslImage, qubit_budget: int = DENSE_QUBIT_BUDGET) -> StateVector:
     """Run the preparation circuit on |0...0> with the dense simulator."""
-    layout = img.layout
-    if layout.total_qubits > qubit_budget:
-        raise QubitBudgetError(
-            f"dense simulation of {layout.total_qubits} qubits exceeds the budget of {qubit_budget}")
-    return run_circuit(StateVector.zero(layout.total_qubits), preparation_circuit(img))
+    _check_dense(img.layout.total_qubits, qubit_budget, "dense simulation of")
+    return run_circuit(StateVector.zero(img.layout.total_qubits), preparation_circuit(img))
 
 
 class StructuredState:
@@ -319,9 +333,7 @@ class StructuredState:
 
     def to_statevector(self, qubit_budget: int = DENSE_QUBIT_BUDGET) -> StateVector:
         layout = self.layout
-        if layout.total_qubits > qubit_budget:
-            raise QubitBudgetError(
-                f"materializing {layout.total_qubits} qubits exceeds the budget of {qubit_budget}")
+        _check_dense(layout.total_qubits, qubit_budget, "materializing")
         amps = np.zeros(2 ** layout.total_qubits, dtype=complex)
         branch = np.arange(4 ** layout.n) | (self.image.codes << (2 * layout.n))
         pairs = self.all_chroma_amplitudes()

@@ -7,6 +7,8 @@ from hypothesis import settings
 from qhsl import ChromaState, LightnessCode, QhslImage, encode_chroma, HslColor, quantize_lightness
 
 settings.register_profile("suite", max_examples=60, deadline=None)
+# `pytest --hypothesis-profile=deep` loads this one instead, after this file
+settings.register_profile("deep", max_examples=1000, deadline=None)
 settings.load_profile("suite")
 
 

@@ -443,3 +443,12 @@ def test_memory_error_is_exit_2(tmp_path, green_dump, capsys, monkeypatch, argv,
     assert main([a.format(dump=green_dump, out=out) for a in argv]) == 2
     assert capsys.readouterr().err == f"{message}\n"
     assert not out.exists()
+
+
+def test_verify_above_physical_memory_is_exit_2(green_dump, capsys, monkeypatch):
+    # n=1, q=8: 11 qubits, a 32 KiB state and a 112 KiB peak; 25 pages of 4 KiB
+    monkeypatch.setattr("os.sysconf", {"SC_PHYS_PAGES": 25, "SC_PAGE_SIZE": 4096}.__getitem__)
+    assert main(["verify", str(green_dump), "--qubit-budget", "40"]) == 2
+    assert capsys.readouterr().err == (
+        "qhsl verify: dense simulation of 11 qubits needs about 0.000107 GiB, "
+        "above the 9.54e-05 GiB of physical memory\n")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 
 import numpy as np
 import pytest
@@ -277,3 +278,38 @@ def test_equal_images_hash_alike(rng):
     again = QhslImage.from_arrays(1, 2, img.theta, img.phase_steps, img.codes)
     assert again is not img and hash(again) == hash(img)
     assert len({img, again}) == 1
+
+
+# ---------------------------------------------------------------------------
+# Dense memory preflight: the probe is patched, so no test holds a large state
+
+
+def _dense_runs(img):
+    return (lambda: simulate_preparation(img, qubit_budget=40),
+            lambda: structured_state(img).to_statevector(qubit_budget=40))
+
+
+def test_dense_runs_above_physical_memory_are_refused(rng, monkeypatch):
+    img = random_image(rng, 1, 2)  # 5 qubits: a 512-byte state, a 1792-byte peak
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 1}.__getitem__)
+    for run, what in zip(_dense_runs(img), ("dense simulation of", "materializing")):
+        with pytest.raises(QubitBudgetError) as info:
+            run()
+        assert str(info.value) == (f"{what} 5 qubits needs about 1.67e-06 GiB, "
+                                   "above the 9.31e-07 GiB of physical memory")
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 7, "SC_PAGE_SIZE": 256}.__getitem__)
+    for run in _dense_runs(img):
+        assert run().num_qubits == 5
+
+
+def test_dense_runs_go_unchecked_where_sysconf_cannot_tell(rng, monkeypatch):
+    def unknown_name(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    img = random_image(rng, 1, 2)
+    monkeypatch.setattr(os, "sysconf", unknown_name)
+    for run in _dense_runs(img):
+        assert run().num_qubits == 5
+    monkeypatch.delattr(os, "sysconf")
+    for run in _dense_runs(img):
+        assert run().num_qubits == 5
