@@ -8,7 +8,8 @@ the target already holds a basis value on the controlled subspace.
 
 The ``_KINDS`` table is the one place a gate kind is defined: its
 parameter count, its 2x2 matrix, the gates that undo it and its action on
-a basis index.  ``Gate`` and ``run_on_basis_array`` read it.
+a basis index.  ``Gate``, ``run_on_basis_array`` and ``run_circuit``'s
+support kernel read it.
 
 Arithmetic circuits (ripple-carry adder, comparator) are built from
 controlled X gates, so they can also be evaluated directly on classical
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -31,6 +33,11 @@ from .errors import (
 )
 
 SET_TOLERANCE = 1e-9
+
+# Costs of a classical run on the state's support, in amplitude pairs moved by
+# the dense kernel: per amplitude to find the support, per support entry per
+# gate, and per gate for the extra numpy calls
+_SCAN_COST, _MOVE_COST, _GATE_COST = 1, 4, 1024
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -183,8 +190,9 @@ class ControlPattern:
     def qubits(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.terms)
 
-    def matches(self, basis: int) -> bool:
-        return all((basis >> q) & 1 == b for q, b in self.terms)
+    def matches(self, basis: int | np.ndarray) -> bool | np.ndarray:
+        """Whether a basis index, or each index of an integer array, matches."""
+        return (basis & sum(1 << q for q, _ in self.terms)) == sum(b << q for q, b in self.terms)
 
     def shifted(self, offset: int) -> "ControlPattern":
         return ControlPattern(tuple((q + offset, b) for q, b in self.terms))
@@ -268,8 +276,8 @@ class StateVector:
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (2 ** num_qubits,):
             raise ValueError(f"expected {2 ** num_qubits} amplitudes, got {amplitudes.shape}")
-        norm2 = float(np.sum(np.abs(amplitudes) ** 2))
-        if abs(norm2 - 1.0) > 1e-9:
+        norm2 = float(np.vdot(amplitudes, amplitudes).real)
+        if not abs(norm2 - 1.0) <= 1e-9:  # a NaN norm is refused too
             raise ValueError(f"state norm^2 {norm2} is not 1")
         self.num_qubits = num_qubits
         self.amplitudes = amplitudes
@@ -296,6 +304,15 @@ class StateVector:
         return measure_probabilities(self, qubit)
 
 
+def _check_set(instr: Instruction, half0: np.ndarray, half1: np.ndarray) -> None:
+    overlap = np.minimum(np.abs(half0), np.abs(half1))
+    worst = float(overlap.max()) if overlap.size else 0.0
+    if worst > SET_TOLERANCE:
+        raise NonBasisTargetError(
+            f"{instr.gate.kind} on qubit {instr.target}: target is in superposition "
+            f"(amplitude overlap {worst:.3e} exceeds {SET_TOLERANCE:.0e})")
+
+
 def _apply_inplace(arr: np.ndarray, num_qubits: int, instr: Instruction) -> None:
     # arr has shape [2]*num_qubits with qubit k on axis (num_qubits-1-k)
     index: list = [slice(None)] * num_qubits
@@ -310,12 +327,7 @@ def _apply_inplace(arr: np.ndarray, num_qubits: int, instr: Instruction) -> None
     half1 = arr[(*index, Ellipsis)]
     gate = instr.gate
     if not gate.is_unitary:
-        overlap = np.minimum(np.abs(half0), np.abs(half1))
-        worst = float(overlap.max()) if overlap.size else 0.0
-        if worst > SET_TOLERANCE:
-            raise NonBasisTargetError(
-                f"{gate.kind} on qubit {instr.target}: target is in superposition "
-                f"(amplitude overlap {worst:.3e} exceeds {SET_TOLERANCE:.0e})")
+        _check_set(instr, half0, half1)
         keep, drop = (half1, half0) if gate.kind == "SET1" else (half0, half1)
         keep += drop
         drop[...] = 0.0
@@ -345,9 +357,50 @@ def run_circuit(initial: StateVector, circuit: Circuit) -> StateVector:
     if circuit.num_qubits != initial.num_qubits:
         raise ValueError(f"circuit is over {circuit.num_qubits} qubits, state over {initial.num_qubits}")
     arr = initial.amplitudes.copy().reshape([2] * initial.num_qubits)
-    for instr in circuit.instructions:
-        _apply_inplace(arr, initial.num_qubits, instr)
+    for classical, run in groupby(circuit.instructions,
+                                  lambda ins: _KINDS[ins.gate.kind].on_basis is not None):
+        run = tuple(run)
+        if not (classical and _run_on_support(arr.reshape(-1), run)):
+            for instr in run:
+                _apply_inplace(arr, initial.num_qubits, instr)
     return StateVector(initial.num_qubits, arr.reshape(-1))
+
+
+def _run_on_support(flat: np.ndarray, run: Sequence[Instruction]) -> bool:
+    """Apply classical instructions to the nonzero amplitudes only, when that
+    beats the dense kernel; return whether it ran.  Entries outside ``idx``
+    hold +0, which ``_apply_inplace`` leaves +0, so the bytes match its own."""
+    # what moving the support may cost and still beat the dense kernel
+    budget = (sum((flat.size >> (1 + len(ins.controls.terms))) - _GATE_COST for ins in run)
+              - _SCAN_COST * flat.size)
+    if budget <= 0:
+        return False
+    # the support is every entry with a set bit in either word, so -0.0
+    # components move too; each entry's two word tests pair into a uint16
+    idx = np.flatnonzero((flat.view(np.uint64) != 0).view(np.uint16))
+    if _MOVE_COST * len(run) * idx.size > budget:
+        return False
+    for instr in run:
+        kind, bit = instr.gate.kind, 1 << instr.target
+        hit = instr.controls.matches(idx)
+        src = idx[hit]
+        dst = _KINDS[kind].on_basis(src, bit)
+        if kind == "X":
+            vals = flat[src]
+            flat[src] = 0.0
+            flat[dst] = vals
+        elif kind == "I":  # the dense kernel's matrix product, which can clear a -0.0
+            (one, zero), _ = instr.gate.matrix()
+            flat[src] = flat[src] * one + zero * flat[src ^ bit]
+        else:
+            drop = dst ^ bit
+            _check_set(instr, flat[dst], flat[drop])
+            flat[dst] += flat[drop]
+            flat[drop] = 0.0
+        idx[hit] = dst
+        if not instr.gate.is_unitary:
+            flat[idx] /= np.linalg.norm(flat)
+    return True
 
 
 def run_on_basis(circuit: Circuit, basis: int) -> int:
@@ -393,9 +446,7 @@ def run_on_basis_array(circuit: Circuit, basis: np.ndarray) -> np.ndarray:
         act = _KINDS[instr.gate.kind].on_basis
         if act is None:
             raise NonClassicalGateError(f"{instr.gate.kind} cannot be evaluated on a basis state")
-        hit = np.ones(out.shape, dtype=bool)
-        for q, b in instr.controls.terms:
-            hit &= ((out >> q) & one) == b
+        hit = instr.controls.matches(out)
         out[hit] = act(out[hit], one << instr.target)
     return out
 

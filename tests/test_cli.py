@@ -409,6 +409,37 @@ def test_transform_refuses_non_finite_shifts(tmp_path, green_dump, capsys, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--hue-shift", "-1e-9"),
+    ("--sat-shift", "-5e-9"),
+    ("--hue-shift", "-2.5E+1"),
+    ("--sat-shift", "-0.5"),
+])
+def test_transform_takes_a_negative_shift_as_its_own_token(tmp_path, green_dump, flag, value):
+    joined, split = tmp_path / "joined.dump", tmp_path / "split.dump"
+    assert main(["transform", str(green_dump), str(joined), f"{flag}={value}"]) == 0
+    assert main(["transform", str(green_dump), str(split), flag, value, "--rows", "0", "0"]) == 0
+    assert main(["transform", str(green_dump), str(joined), f"{flag}={value}", "--rows", "0", "0"]) == 0
+    assert split.read_bytes() == joined.read_bytes()
+
+
+def test_transform_refuses_a_separate_non_finite_negative_shift(tmp_path, green_dump, capsys):
+    out = tmp_path / "out.dump"
+    assert main(["transform", str(green_dump), str(out), "--sat-shift", "-inf"]) == 2
+    assert capsys.readouterr().err == "qhsl transform: saturation shift -inf is not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--hue-shift", "--sat-shift"])
+@pytest.mark.parametrize("follower", ["--invert", "--lighten", "-h"])
+def test_transform_shift_followed_by_an_option_still_lacks_its_value(tmp_path, green_dump,
+                                                                     capsys, flag, follower):
+    out = tmp_path / "out.dump"
+    assert main(["transform", str(green_dump), str(out), flag, follower, "3"]) == 1
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("shots, flags", [
     ("3000000000000000000", ["--branch", "rejection"]),
     ("3000000000000000000", ["--backend", "dense"]),
