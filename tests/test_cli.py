@@ -416,10 +416,10 @@ def test_transform_refuses_non_finite_shifts(tmp_path, green_dump, capsys, flag,
     ("--sat-shift", "-0.5"),
 ])
 def test_transform_takes_a_negative_shift_as_its_own_token(tmp_path, green_dump, flag, value):
+    # the option after the value must still be read as an option
     joined, split = tmp_path / "joined.dump", tmp_path / "split.dump"
-    assert main(["transform", str(green_dump), str(joined), f"{flag}={value}"]) == 0
-    assert main(["transform", str(green_dump), str(split), flag, value, "--rows", "0", "0"]) == 0
     assert main(["transform", str(green_dump), str(joined), f"{flag}={value}", "--rows", "0", "0"]) == 0
+    assert main(["transform", str(green_dump), str(split), flag, value, "--rows", "0", "0"]) == 0
     assert split.read_bytes() == joined.read_bytes()
 
 
