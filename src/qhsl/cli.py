@@ -46,6 +46,7 @@ from .transforms import (
 )
 
 
+_SHIFT_FLAGS = ("--hue-shift", "--sat-shift")
 _NEGATIVE_FLOAT = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-inf(inity)?|-nan", re.IGNORECASE)
 
 
@@ -176,8 +177,8 @@ def _cmd_retrieve(args) -> int:
 def _cmd_verify(args) -> int:
     img = load_dump(args.input)
     state = simulate_preparation(img, args.qubit_budget)
-    reference = structured_state(img).to_statevector(args.qubit_budget)
-    deviation = np.abs(state.amplitudes - reference.amplitudes).max()
+    difference = structured_state(img).to_statevector(args.qubit_budget).amplitudes
+    deviation = np.abs(np.subtract(difference, state.amplitudes, out=difference)).max()
     print(f"max amplitude deviation: {deviation:.3e} (tolerance {args.tolerance:g})")
     if deviation > args.tolerance:
         print("verification FAILED: dense and structured backends disagree")
@@ -257,12 +258,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _shift_spellings(parser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
+    """The full shift flags, and in transform (always the first token, as qhsl
+    has no other top-level option than -h) each prefix of one that no other
+    transform option starts with, since argparse takes it as that flag."""
+    spellings = set(_SHIFT_FLAGS)
+    if argv[:1] == ["transform"]:
+        subcommands = next(a for a in parser._actions if a.dest == "subcommand")
+        options = subcommands.choices["transform"]._option_string_actions
+        spellings.update(flag[:k] for flag in _SHIFT_FLAGS for k in range(3, len(flag))
+                         if [o for o in options if o.startswith(flag[:k])] == [flag])
+    return spellings
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     # argparse reads a token like -1e-9 as an option: join a negative shift to its flag
     argv = list(sys.argv[1:] if argv is None else argv)
+    shift_flags = _shift_spellings(parser, argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--hue-shift", "--sat-shift") and _NEGATIVE_FLOAT.fullmatch(argv[i]):
+        if argv[i - 1] in shift_flags and _NEGATIVE_FLOAT.fullmatch(argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)

@@ -38,7 +38,8 @@ DENSE_QUBIT_BUDGET = 26
 MAX_IMAGE_N = 11
 # widest lightness register whose codes, plus any shift below 2**q, fit in int64
 _MAX_Q = 62
-# peak memory of `qhsl verify` in states: dense, structured reference, difference, abs
+# peak memory in states, set by `qhsl verify`: the dense state, the reference with
+# the difference written over it, and its modulus (2.5; 2.6 measured at n=7 q=8)
 _DENSE_PEAK_FACTOR = 3.5
 
 

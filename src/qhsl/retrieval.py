@@ -32,7 +32,7 @@ from .color import (
 )
 from .errors import InconsistentStatisticsError, NonBasisLightnessError
 from .image import QhslImage, RegisterLayout
-from .sim import Gate, StateVector, apply_gate, joint_probabilities
+from .sim import Gate, StateVector
 
 EXACT_HUE_FLOOR = 1e-6
 _BRANCH_EPS = 1e-12
@@ -207,6 +207,8 @@ def measure_lightness(source, y: int, x: int, layout: RegisterLayout | None = No
         return int(source.codes[source.raster_index(y, x)])
     if layout is None:
         raise ValueError("dense lightness readout needs a register layout")
+    if layout.total_qubits != source.num_qubits:
+        raise ValueError("layout does not match the state register")
     return int(_dense_lightness_codes(source, layout, [(y << layout.n) | x])[0])
 
 
@@ -214,11 +216,11 @@ def _dense_lightness_codes(state: StateVector, layout: RegisterLayout,
                            positions: Sequence[int]) -> np.ndarray:
     """Lightness codes of the pixel branches at raster ``positions``.
 
-    One joint distribution over the position and lightness qubits serves
-    every branch.  The first offending branch, in the order given, raises.
+    One distribution over lightness and position, summed over the chroma
+    halves, serves every branch.  The first offending branch, in order, raises.
     """
-    qubits = list(layout.position_qubits) + list(layout.lightness_qubits)
-    probs = joint_probabilities(state, qubits).reshape(2 ** layout.q, 4 ** layout.n)[:, positions]
+    zero, one = state.amplitudes.reshape(2, 2 ** layout.q, 4 ** layout.n)
+    probs = (np.abs(zero) ** 2 + np.abs(one) ** 2)[:, positions]
     totals = probs.sum(axis=0)
     codes = probs.argmax(axis=0)
     peaks = probs[codes, np.arange(codes.size)]
@@ -423,13 +425,14 @@ def _structured_statistics(img: QhslImage, mode: str, shots, seed, branch):
 
 def _dense_statistics(state: StateVector, layout: RegisterLayout, mode: str,
                       shots, seed):
-    """_structured_statistics for a dense state: one joint distribution per basis."""
+    """_structured_statistics for a dense state: in each basis (I, U1, U2), the dense
+    kernel's 2x2 product on the chroma halves, with |.|^2 summed over lightness."""
     npos = 4 ** layout.n
-    qubits = list(layout.position_qubits) + [layout.chroma_qubit]
-    joints = np.array([
-        joint_probabilities(state if rotation is None
-                            else apply_gate(state, rotation, layout.chroma_qubit), qubits)
-        for rotation in (None, Gate.u1(), Gate.u2())])
+    a0, a1 = state.amplitudes.reshape(2, 2 ** layout.q, npos)
+    bases = [g.matrix() for g in (Gate.i(), Gate.u1(), Gate.u2())]
+    joints = np.array([[(np.abs(a0 * m00 + m01 * a1) ** 2).sum(axis=0),
+                        (np.abs(a1 * m11 + m10 * a0) ** 2).sum(axis=0)]
+                       for (m00, m01), (m10, m11) in bases]).reshape(3, 2 * npos)
     if mode == "shots":
         rng = np.random.default_rng(seed)
         joints = np.array([rng.multinomial(shots * npos, j / j.sum()) for j in joints])

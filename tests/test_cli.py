@@ -430,6 +430,52 @@ def test_transform_refuses_a_separate_non_finite_negative_shift(tmp_path, green_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, abbreviation, value", [
+    ("--hue-shift", "--hue", "-1e-9"),
+    ("--sat-shift", "--sat", "-5e-9"),
+    ("--hue-shift", "--hue-s", "-1e-9"),
+    ("--hue-shift", "--hu", "-2.5E+1"),
+    ("--sat-shift", "--s", "-0.5"),
+    ("--sat-shift", "--sat-shif", "-inf"),
+])
+def test_transform_takes_a_negative_shift_after_an_abbreviated_flag(tmp_path, green_dump, capsys,
+                                                                    flag, abbreviation, value):
+    full, short = tmp_path / "full.dump", tmp_path / "short.dump"
+    code = main(["transform", str(green_dump), str(full), flag, value, "--rows", "0", "0"])
+    want = capsys.readouterr()
+    assert main(["transform", str(green_dump), str(short), abbreviation, value,
+                 "--rows", "0", "0"]) == code
+    assert capsys.readouterr() == want
+    assert short.exists() == full.exists() == (code == 0)
+    if code == 0:
+        assert short.read_bytes() == full.read_bytes()
+
+
+def test_transform_ambiguous_prefix_before_a_negative_value_stays_a_usage_error(
+        tmp_path, green_dump, capsys):
+    out = tmp_path / "out.dump"
+    assert main(["transform", str(green_dump), str(out), "--h", "-1e-9"]) == 1
+    assert "error: ambiguous option: --h could match" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_values_join_only_transform_abbreviations(tmp_path, green_dump, capsys):
+    # in retrieve --s is ambiguous, and the error names the flag alone
+    out = tmp_path / "r.report"
+    assert main(["retrieve", str(green_dump), str(out), "--s", "-5"]) == 1
+    assert "error: ambiguous option: --s could match" in capsys.readouterr().err
+    assert main(["retrieve", str(green_dump), str(out), "--hue", "-1e-9"]) == 1
+    assert "error: unrecognized arguments: --hue -1e-9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retrieve_refuses_zero_shots(tmp_path, green_dump, capsys):
+    out = tmp_path / "r.report"
+    assert main(["retrieve", str(green_dump), str(out), "--mode", "shots", "--shots", "0"]) == 1
+    assert capsys.readouterr().err == "qhsl retrieve: --shots must be at least 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--hue-shift", "--sat-shift"])
 @pytest.mark.parametrize("follower", ["--invert", "--lighten", "-h"])
 def test_transform_shift_followed_by_an_option_still_lacks_its_value(tmp_path, green_dump,

@@ -3,6 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qhsl import (
     AVERAGE,
@@ -178,6 +179,18 @@ def test_measure_chroma_sampled_converges():
     assert abs(phi - 1.0) < 0.01
 
 
+def test_measure_chroma_on_an_amplitude_pair(rng):
+    for _ in range(20):
+        chroma = random_chroma(rng)
+        for pair in (chroma.amplitudes(), list(chroma.amplitudes()),
+                     np.array(chroma.amplitudes())):
+            assert measure_chroma(pair) == measure_chroma(chroma)
+            assert measure_chroma(pair, "shots", shots=300, seed=4) == \
+                measure_chroma(chroma, "shots", shots=300, seed=4)
+    with pytest.raises(InconsistentStatisticsError, match=r"^chroma amplitudes are numerically zero$"):
+        measure_chroma((0, 0))
+
+
 def test_measure_chroma_usage_errors():
     with pytest.raises(ValueError):
         measure_chroma(ChromaState(1.0, 0.0), "sample")
@@ -306,6 +319,18 @@ def test_retrieve_usage_errors(rng):
         retrieve_image(state, "shots", shots=10, branch="oracle", layout=img.layout)
     with pytest.raises(TypeError):
         retrieve_image("not a state")
+
+
+def test_dense_readout_refuses_a_layout_of_another_width(rng):
+    from qhsl import RegisterLayout
+
+    img = random_image(rng, 1, 1)
+    state = simulate_preparation(img)
+    for other in (RegisterLayout(1, 2), RegisterLayout(2, 1), RegisterLayout(0, 1)):
+        with pytest.raises(ValueError, match=r"^layout does not match the state register$"):
+            retrieve_image(state, layout=other)
+        with pytest.raises(ValueError, match=r"^layout does not match the state register$"):
+            measure_lightness(state, 0, 0, other)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +486,98 @@ def test_batched_statistics_match_per_pixel_reference(rng):
     for mode, shots in (("exact", None), ("shots", 30)):
         assert columns(*_dense_statistics(state, img.layout, mode, shots, 8)) == \
             reference_columns(dense_by_pixels(state, img.layout, mode, shots, 8))
+
+
+def simulated_dense_statistics(state, layout, mode, shots, seed):
+    """The dense statistics with each basis change simulated on a copy of the
+    state and marginalised by joint_probabilities, as the reference."""
+    from qhsl import joint_probabilities
+
+    npos = 4 ** layout.n
+    qubits = list(layout.position_qubits) + [layout.chroma_qubit]
+    joints = np.array([joint_probabilities(
+        state if g is None else apply_gate(state, g, layout.chroma_qubit), qubits)
+        for g in (None, Gate.u1(), Gate.u2())])
+    if mode == "shots":
+        rng = np.random.default_rng(seed)
+        joints = np.array([rng.multinomial(shots * npos, j / j.sum()) for j in joints])
+    zero, one = joints[:, :npos], joints[:, npos:]
+    totals = zero + one
+    empty = np.flatnonzero((totals <= 1e-12).any(axis=0))
+    if empty.size:
+        raise InconsistentStatisticsError(
+            f"pixel branch {empty[0]} has no probability" if mode == "exact" else
+            f"pixel branch {empty[0]} received no samples; increase the shot budget")
+    return (zero - one) / totals, totals.min(axis=0) if mode == "shots" else None
+
+
+def simulated_lightness_codes(state, layout, positions):
+    """The dense lightness readout through joint_probabilities, as the reference."""
+    from qhsl import joint_probabilities
+
+    qubits = list(layout.position_qubits) + list(layout.lightness_qubits)
+    probs = joint_probabilities(state, qubits).reshape(2 ** layout.q, 4 ** layout.n)[:, positions]
+    totals = probs.sum(axis=0)
+    codes = probs.argmax(axis=0)
+    peaks = probs[codes, np.arange(codes.size)]
+    bad = np.flatnonzero((totals <= 1e-12) | (peaks < (1.0 - 1e-9) * totals))
+    if bad.size:
+        y, x = divmod(positions[bad[0]], layout.side)
+        if totals[bad[0]] <= 1e-12:
+            raise InconsistentStatisticsError(f"pixel ({y}, {x}) branch has no probability")
+        raise NonBasisLightnessError(f"pixel ({y}, {x}) lightness register is in superposition")
+    return codes
+
+
+def outcome(call, *args):
+    """A call's result as exact bytes, or its error as type and full text."""
+    try:
+        result = call(*args)
+    except Exception as exc:  # every error must match the reference's
+        return type(exc), str(exc)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+COMPONENTS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0, allow_subnormal=True))
+
+
+@st.composite
+def general_states(draw):
+    """A layout with n <= 2, q <= 4 and a normalised state over it.  Entries
+    hold random components, -0.0 among them, or +0 holes; with ``basis`` set,
+    each position's entries share one lightness code, so the lightness
+    readout can succeed.  Whole branches may be empty."""
+    from qhsl import RegisterLayout
+
+    layout = RegisterLayout(draw(st.integers(0, 2)), draw(st.integers(0, 4)))
+    npos, ncodes = 4 ** layout.n, 2 ** layout.q
+    amps = np.zeros((2, ncodes, npos), dtype=complex)
+    basis = draw(st.booleans())
+    for pos in range(npos):
+        code = draw(st.integers(0, ncodes - 1))
+        for chroma in (0, 1):
+            for light in [code] if basis else range(ncodes):
+                if draw(st.booleans()):
+                    amps[chroma, light, pos] = complex(draw(COMPONENTS), draw(COMPONENTS))
+    chroma, light = draw(st.integers(0, 1)), draw(st.integers(0, ncodes - 1))
+    amps[chroma, light, draw(st.integers(0, npos - 1))] = complex(draw(COMPONENTS), 1.0)
+    amps = amps.reshape(-1)
+    positions = draw(st.permutations(range(npos)))[:draw(st.integers(1, npos))]
+    return layout, StateVector(layout.total_qubits, amps / np.linalg.norm(amps)), positions
+
+
+@given(general_states(), st.integers(1, 40), st.integers(0, 2 ** 32))
+def test_dense_readout_matches_simulated_basis_changes(case, shots, seed):
+    from qhsl.retrieval import _dense_lightness_codes, _dense_statistics
+
+    layout, state, positions = case
+    for mode in ("exact", "shots"):
+        assert outcome(_dense_statistics, state, layout, mode, shots, seed) == \
+            outcome(simulated_dense_statistics, state, layout, mode, shots, seed)
+    for chosen in (range(4 ** layout.n), positions):
+        assert outcome(_dense_lightness_codes, state, layout, chosen) == \
+            outcome(simulated_lightness_codes, state, layout, chosen)
 
 
 # ---------------------------------------------------------------------------
